@@ -44,11 +44,14 @@ let queue t = t.q
 
 (* --- observability --- *)
 
-let m_requests = lazy (Metrics.counter "daemon_requests_total")
-let m_jobs_done = lazy (Metrics.counter "daemon_jobs_total")
-let m_points = lazy (Metrics.counter "daemon_points_total")
-let m_queue_depth = lazy (Metrics.gauge "daemon_queue_depth")
-let m_job_time = lazy (Metrics.histogram "daemon_job_seconds")
+let m_requests =
+  Metrics.handle (fun () -> Metrics.counter "daemon_requests_total")
+let m_jobs_done = Metrics.handle (fun () -> Metrics.counter "daemon_jobs_total")
+let m_points = Metrics.handle (fun () -> Metrics.counter "daemon_points_total")
+let m_queue_depth =
+  Metrics.handle (fun () -> Metrics.gauge "daemon_queue_depth")
+let m_job_time =
+  Metrics.handle (fun () -> Metrics.histogram "daemon_job_seconds")
 
 (* --- job execution --- *)
 
@@ -119,7 +122,7 @@ let run_job t (job : Jobq.job) =
               end)
             designs;
           job.progress <- job.progress + List.length batch;
-          Metrics.incr ~by:(List.length batch) (Lazy.force m_points);
+          Metrics.incr ~by:(List.length batch) (Metrics.get m_points);
           Jobq.emit t.q job
             (Json.obj
                [
@@ -138,7 +141,7 @@ let run_job t (job : Jobq.job) =
   with
   | cancelled, compliant, best_ttft, best_tbt ->
       let wall = Unix.gettimeofday () -. t0 in
-      Metrics.observe (Lazy.force m_job_time) wall;
+      Metrics.observe (Metrics.get m_job_time) wall;
       job.finished_at <- Some (Unix.gettimeofday ());
       if cancelled then begin
         job.status <- Jobq.Cancelled;
@@ -160,7 +163,7 @@ let run_job t (job : Jobq.job) =
               wall_s = wall;
             };
         job.status <- Jobq.Done;
-        Metrics.incr (Lazy.force m_jobs_done);
+        Metrics.incr (Metrics.get m_jobs_done);
         let rate = Jobq.warm_hit_rate job in
         Jobq.emit t.q job
           (Json.obj
@@ -277,7 +280,7 @@ let handle_submit t fd (req : Http.request) =
         with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
 
 let route t fd (req : Http.request) =
-  Metrics.incr (Lazy.force m_requests);
+  Metrics.incr (Metrics.get m_requests);
   match segments req.path with
   | [ "healthz" ] ->
       if req.meth <> "GET" then respond_error fd 405 "use GET"
@@ -362,7 +365,7 @@ let accept_loop t =
       (* The poll tick doubles as the liveness heartbeat for progress
          streamers blocked in [Jobq.events_after]. *)
       Jobq.tick t.q;
-      Metrics.set_gauge (Lazy.force m_queue_depth)
+      Metrics.set_gauge (Metrics.get m_queue_depth)
         (float_of_int (Jobq.depth t.q));
       (match Unix.select [ t.sock ] [] [] 0.2 with
       | [], _, _ -> ()

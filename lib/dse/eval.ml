@@ -7,10 +7,12 @@ type stats = { lookups : int; hits : int; evaluations : int }
 (* Registry metrics mirroring the local atomics: the atomics feed
    [stats ()] (and [Common.timed]); the registry feeds `acs profile`'s
    summary and the metrics export. *)
-let m_lookups = lazy (Metrics.counter "dse_cache_lookups_total")
-let m_hits = lazy (Metrics.counter "dse_cache_hits_total")
-let m_evals = lazy (Metrics.counter "dse_evaluations_total")
-let m_eval_seconds = lazy (Metrics.histogram "dse_eval_seconds")
+let m_lookups =
+  Metrics.handle (fun () -> Metrics.counter "dse_cache_lookups_total")
+let m_hits = Metrics.handle (fun () -> Metrics.counter "dse_cache_hits_total")
+let m_evals = Metrics.handle (fun () -> Metrics.counter "dse_evaluations_total")
+let m_eval_seconds =
+  Metrics.handle (fun () -> Metrics.histogram "dse_eval_seconds")
 
 (* The memo cache is keyed per design point: the sweep's shared context
    (a {!Scenario.t}; [Scenario.context_equal] ignores name, description,
@@ -89,10 +91,10 @@ let find_opt (key : Pkey.t) =
   let r = Pcache.find_opt shard.table key in
   Mutex.unlock shard.lock;
   Atomic.incr lookups;
-  Metrics.incr (Lazy.force m_lookups);
+  Metrics.incr (Metrics.get m_lookups);
   if Option.is_some r then begin
     Atomic.incr hits;
-    Metrics.incr (Lazy.force m_hits)
+    Metrics.incr (Metrics.get m_hits)
   end;
   r
 
@@ -112,13 +114,13 @@ let compile_scenario (s : Scenario.t) =
 
 let evaluate_point (s : Scenario.t) compiled p =
   Atomic.incr evaluations;
-  Metrics.incr (Lazy.force m_evals);
+  Metrics.incr (Metrics.get m_evals);
   let eval () =
     Design.evaluate_compiled ?calib:s.Scenario.calib compiled p
       (Space.build ?memory_gb:s.Scenario.memory_gb
          ~tpp_target:s.Scenario.tpp_target p)
   in
-  Metrics.time (Lazy.force m_eval_seconds) (fun () ->
+  Metrics.time (Metrics.get m_eval_seconds) (fun () ->
       if not (Span.enabled ()) then eval ()
       else
         Span.with_span "eval.point"

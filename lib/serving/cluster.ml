@@ -6,9 +6,11 @@ module Metrics = Acs_util.Metrics
 module Parallel = Acs_util.Parallel
 module Heap = Acs_util.Heap
 
-let m_routed = lazy (Metrics.counter "fleet_routed_total")
-let m_handoffs = lazy (Metrics.counter "fleet_handoffs_total")
-let m_handoff_s = lazy (Metrics.histogram "fleet_handoff_seconds")
+let m_routed = Metrics.handle (fun () -> Metrics.counter "fleet_routed_total")
+let m_handoffs =
+  Metrics.handle (fun () -> Metrics.counter "fleet_handoffs_total")
+let m_handoff_s =
+  Metrics.handle (fun () -> Metrics.histogram "fleet_handoff_seconds")
 
 type role = Unified | Prefill | Decode
 type routing = Round_robin | Least_loaded | Phase_affine
@@ -193,7 +195,7 @@ let dispatch ?(advance_to_arrival = true) router ~prefilled
               +. est_service_s nd.stepper ~prefilled r)
   in
   Simulator.Instance.submit ~prefilled chosen.inst r;
-  Metrics.incr (Lazy.force m_routed)
+  Metrics.incr (Metrics.get m_routed)
 
 (* --- the fleet run --- *)
 
@@ -347,8 +349,8 @@ let run_fleet ?calib (t : t) model requests =
               incr handoff_transfers;
               handoff_bytes := !handoff_bytes +. bytes;
               handoff_seconds := !handoff_seconds +. transfer;
-              Metrics.incr (Lazy.force m_handoffs);
-              Metrics.observe (Lazy.force m_handoff_s) transfer;
+              Metrics.incr (Metrics.get m_handoffs);
+              Metrics.observe (Metrics.get m_handoff_s) transfer;
               decode_reqs :=
                 {
                   orig with
@@ -712,8 +714,8 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
                 incr handoff_transfers;
                 handoff_bytes := !handoff_bytes +. bytes;
                 handoff_seconds := !handoff_seconds +. transfer;
-                Metrics.incr (Lazy.force m_handoffs);
-                Metrics.observe (Lazy.force m_handoff_s) transfer;
+                Metrics.incr (Metrics.get m_handoffs);
+                Metrics.observe (Metrics.get m_handoff_s) transfer;
                 Heap.push ready
                   (o.Simulator.finish_s +. transfer, id)
                   (orig, o.Simulator.ttft_s, o.Simulator.finish_s)

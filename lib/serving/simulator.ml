@@ -7,14 +7,20 @@ module Stats = Acs_util.Stats
 module Span = Acs_util.Trace
 module Metrics = Acs_util.Metrics
 
-(* Registry metrics are always on (atomic bumps, far cheaper than the
-   engine calls they count); spans and their attribute lists are built
-   only when tracing is enabled. *)
-let m_prefills = lazy (Metrics.counter "serving_prefill_batches_total")
-let m_decodes = lazy (Metrics.counter "serving_decode_steps_total")
-let m_admitted = lazy (Metrics.counter "serving_admitted_total")
-let m_rejected = lazy (Metrics.counter "serving_rejected_total")
-let m_occupancy = lazy (Metrics.histogram "serving_batch_occupancy")
+(* Registry metrics are always on. A scheduler step counts into plain
+   fields of its instance, which are flushed here when the stepping call
+   returns (see [Instance.flush]); spans and their attribute lists are
+   built only when tracing is enabled. *)
+let m_prefills =
+  Metrics.handle (fun () -> Metrics.counter "serving_prefill_batches_total")
+let m_decodes =
+  Metrics.handle (fun () -> Metrics.counter "serving_decode_steps_total")
+let m_admitted =
+  Metrics.handle (fun () -> Metrics.counter "serving_admitted_total")
+let m_rejected =
+  Metrics.handle (fun () -> Metrics.counter "serving_rejected_total")
+let m_occupancy =
+  Metrics.handle (fun () -> Metrics.histogram "serving_batch_occupancy")
 
 type policy = Prefill_priority | Decode_fair
 type engine = Legacy | Compiled
@@ -113,7 +119,10 @@ let kv_capacity_batch config dev model ~context =
    A stepper is a value so a fleet of identical devices can share one:
    the memo inside is keyed purely on (phase, batch, length), which only
    depends on (config, device, model) - exactly the sharing key
-   {!Cluster} uses. *)
+   {!Cluster} uses. The key is one int, [(len * (max_batch + 1) + batch)
+   * 2 + phase], which is collision-free while [batch <= max_batch] and
+   the product cannot overflow; a step outside that range (no scheduler
+   step is) is evaluated without the memo, which is only a cache. *)
 
 type stepper = {
   prefill_s : batch:int -> input_len:int -> float;
@@ -131,35 +140,40 @@ let step_request ~prefill ~batch ~len =
      length is irrelevant beyond being >= 1. *)
   Request.make ~batch ~input_len:len ~output_len:(if prefill then 1 else 0)
 
+module Int_tbl = Hashtbl.Make (Int)
+
 let make_stepper ?calib ~config dev model =
   let of_result ~prefill r =
     if prefill then Engine.model_ttft_s r else Engine.model_tbt_s r
   in
+  let simulate ~prefill ~batch ~len =
+    let request = step_request ~prefill ~batch ~len in
+    of_result ~prefill
+      (match config.engine with
+      | Legacy -> Engine.simulate ?calib ~tp:config.tp ~request dev model
+      | Compiled ->
+          Engine.simulate_compiled ?calib
+            (Engine.compile ~tp:config.tp ~request model)
+            dev)
+  in
   let eval =
     match config.engine with
-    | Legacy ->
-        fun ~prefill ~batch ~len ->
-          of_result ~prefill
-            (Engine.simulate ?calib ~tp:config.tp
-               ~request:(step_request ~prefill ~batch ~len)
-               dev model)
+    | Legacy -> simulate
     | Compiled ->
-        let memo : (bool * int * int, float) Hashtbl.t = Hashtbl.create 256 in
+        let stride = config.max_batch + 1 in
+        let max_len = ((max_int / 2) - stride) / stride in
+        let memo : float Int_tbl.t = Int_tbl.create 256 in
         fun ~prefill ~batch ~len ->
-          let key = (prefill, batch, len) in
-          match Hashtbl.find_opt memo key with
-          | Some t -> t
-          | None ->
-              let compiled =
-                Engine.compile ~tp:config.tp
-                  ~request:(step_request ~prefill ~batch ~len)
-                  model
-              in
-              let t =
-                of_result ~prefill (Engine.simulate_compiled ?calib compiled dev)
-              in
-              Hashtbl.add memo key t;
-              t
+          if batch < 0 || batch >= stride || len > max_len then
+            simulate ~prefill ~batch ~len
+          else
+            let key = (((len * stride) + batch) * 2) + Bool.to_int prefill in
+            match Int_tbl.find memo key with
+            | t -> t
+            | exception Not_found ->
+                let t = simulate ~prefill ~batch ~len in
+                Int_tbl.add memo key t;
+                t
   in
   {
     prefill_s =
@@ -191,6 +205,18 @@ type entry = {
 }
 
 module Instance = struct
+  (* The instance's mutable floats. A record of floats only stores its
+     fields unboxed, so the per-step updates allocate nothing; in the
+     mixed record below every assignment would box a fresh float. *)
+  type clocks = {
+    mutable clock : float;
+    mutable busy_weighted : float;
+    mutable busy_time : float;
+    mutable reserved : float;
+    mutable peak : float;
+    mutable first_arrival : float;
+  }
+
   (* The waiting queue is FCFS in submission (= arrival) order, stored as
      the classic two-list functional queue so both [submit] and admission
      pops are O(1) amortized even with a million-request backlog. *)
@@ -201,23 +227,22 @@ module Instance = struct
     weights : float;
     kv_tok : float;
     free : float;
+    f : clocks;
     mutable q_front : (Trace.request * bool) list;
     mutable q_back : (Trace.request * bool) list;  (** newest first *)
-    mutable active : entry list;
+    mutable active : entry list;  (** resident requests, in admission order *)
+    (* [List.length active] and the sum of its contexts, kept in step so
+       a decode step need not walk the list to size itself. *)
+    mutable resident : int;
+    mutable resident_context : int;
     mutable outcomes : request_outcome list;
     mutable rejected_rev : Trace.request list;
-    mutable clock : float;
-    mutable busy_weighted : float;
-    mutable busy_time : float;
     mutable prefill_batches : int;
     mutable decode_steps : int;
     mutable produced_tokens : int;
-    mutable reserved : float;
-    mutable peak : float;
     mutable last_was_prefill : bool;
     (* Submission accounting for the final stats. *)
     mutable submitted : int;
-    mutable first_arrival : float;
     mutable context_sum : int;
     (* Outstanding-work estimate for router load balancing. *)
     mutable work_tokens : int;
@@ -231,10 +256,18 @@ module Instance = struct
        how many requests pass through. *)
     mutable on_outcome : (request_outcome -> unit) option;
     mutable on_reject : (Trace.request -> unit) option;
+    (* Registry deltas not yet flushed: prefill batches, decode steps,
+       admissions, and batch-occupancy observations counted per batch
+       size (sizes past the array are observed directly). *)
+    mutable unflushed_prefills : int;
+    mutable unflushed_decodes : int;
+    mutable unflushed_admitted : int;
+    unflushed_occupancy : int array;
   }
 
   let reserve inst (r : Trace.request) =
     inst.kv_tok *. float_of_int (r.Trace.input_len + r.Trace.output_len)
+  [@@inline]
 
   let create ?calib ?stepper ~config dev model =
     if config.tp < 1 then invalid_arg "Simulator.run: tp must be >= 1";
@@ -265,22 +298,27 @@ module Instance = struct
       weights;
       kv_tok;
       free = capacity -. weights;
+      f =
+        {
+          clock = 0.;
+          busy_weighted = 0.;
+          busy_time = 0.;
+          reserved = 0.;
+          peak = weights;
+          first_arrival = infinity;
+        };
       q_front = [];
       q_back = [];
       active = [];
+      resident = 0;
+      resident_context = 0;
       outcomes = [];
       rejected_rev = [];
-      clock = 0.;
-      busy_weighted = 0.;
-      busy_time = 0.;
       prefill_batches = 0;
       decode_steps = 0;
       produced_tokens = 0;
-      reserved = 0.;
-      peak = weights;
       last_was_prefill = false;
       submitted = 0;
-      first_arrival = infinity;
       context_sum = 0;
       work_tokens = 0;
       completed = 0;
@@ -288,6 +326,10 @@ module Instance = struct
       rejected_n = 0;
       on_outcome = None;
       on_reject = None;
+      unflushed_prefills = 0;
+      unflushed_decodes = 0;
+      unflushed_admitted = 0;
+      unflushed_occupancy = Array.make (min config.max_batch 1024 + 1) 0;
     }
 
   let set_sinks ?on_outcome ?on_reject inst =
@@ -300,7 +342,7 @@ module Instance = struct
      is FCFS by construction. *)
   let submit ?(prefilled = false) inst (r : Trace.request) =
     inst.submitted <- inst.submitted + 1;
-    inst.first_arrival <- Float.min inst.first_arrival r.Trace.arrival_s;
+    inst.f.first_arrival <- Float.min inst.f.first_arrival r.Trace.arrival_s;
     inst.context_sum <-
       inst.context_sum + r.Trace.input_len + (r.Trace.output_len / 2);
     if reserve inst r > inst.free then begin
@@ -308,7 +350,7 @@ module Instance = struct
       (match inst.on_reject with
       | Some sink -> sink r
       | None -> inst.rejected_rev <- r :: inst.rejected_rev);
-      Metrics.incr (Lazy.force m_rejected)
+      Metrics.incr (Metrics.get m_rejected)
     end
     else begin
       (* A prefilled request costs this device only its remaining decode
@@ -319,35 +361,71 @@ module Instance = struct
       inst.q_back <- (r, prefilled) :: inst.q_back
     end
 
-  let queue_head inst =
+  (* The waiting queue, head first: refills the front from the back when
+     it runs dry, and returns the list itself, so a peek allocates
+     nothing. *)
+  let queue inst =
     (match (inst.q_front, inst.q_back) with
     | [], (_ :: _ as back) ->
         inst.q_front <- List.rev back;
         inst.q_back <- []
     | _ -> ());
-    match inst.q_front with [] -> None | head :: _ -> Some head
+    inst.q_front
 
   let queue_pop inst =
     match inst.q_front with
-    | head :: rest ->
-        inst.q_front <- rest;
-        head
+    | _ :: rest -> inst.q_front <- rest
     | [] -> assert false (* callers pop only after a successful peek *)
 
-  let now inst = inst.clock
-  let idle inst = inst.q_front = [] && inst.q_back = [] && inst.active = []
+  let now inst = inst.f.clock
+  let idle inst =
+    inst.resident = 0
+    && match (inst.q_front, inst.q_back) with [], [] -> true | _ -> false
   let load inst = inst.work_tokens
   let completed_count inst = inst.completed
   let rejected_count inst = inst.rejected_n
   let generated_count inst = inst.generated
 
-  let live_bytes inst =
-    inst.weights
-    +. inst.kv_tok
-       *. float_of_int
-            (List.fold_left (fun acc a -> acc + a.context) 0 inst.active)
+  let note_peak inst =
+    let live =
+      inst.weights +. (inst.kv_tok *. float_of_int inst.resident_context)
+    in
+    if live > inst.f.peak then inst.f.peak <- live
 
-  let note_peak inst = inst.peak <- Float.max inst.peak (live_bytes inst)
+  (* Counted here, added to the registry by [flush]. *)
+  let note_occupancy inst batch =
+    let occ = inst.unflushed_occupancy in
+    if batch < Array.length occ then occ.(batch) <- occ.(batch) + 1
+    else Metrics.observe (Metrics.get m_occupancy) (float_of_int batch)
+
+  (* Add the step counts gathered since the last flush to the registry and
+     zero them. Every stepping entry point calls this once, when it
+     returns: a step touches only its own instance, and the shared atomic
+     cells are bumped once per call instead of once per step. The
+     occupancy observations are integer batch sizes, so the histogram's
+     count and sum come out exactly as if observed one at a time. *)
+  let flush inst =
+    if
+      inst.unflushed_prefills > 0
+      || inst.unflushed_decodes > 0
+      || inst.unflushed_admitted > 0
+    then begin
+      Metrics.incr ~by:inst.unflushed_prefills (Metrics.get m_prefills);
+      Metrics.incr ~by:inst.unflushed_decodes (Metrics.get m_decodes);
+      Metrics.incr ~by:inst.unflushed_admitted (Metrics.get m_admitted);
+      inst.unflushed_prefills <- 0;
+      inst.unflushed_decodes <- 0;
+      inst.unflushed_admitted <- 0;
+      let occ = inst.unflushed_occupancy in
+      let h = Metrics.get m_occupancy in
+      Array.iteri
+        (fun batch n ->
+          if n > 0 then begin
+            Metrics.observe_n h (float_of_int batch) n;
+            occ.(batch) <- 0
+          end)
+        occ
+    end
 
   let finish inst (a : entry) =
     let tokens_after_first = a.req.Trace.output_len - 1 in
@@ -358,8 +436,9 @@ module Instance = struct
         tbt_s =
           (if tokens_after_first <= 0 then 0.
            else
-             (inst.clock -. a.first_token_s) /. float_of_int tokens_after_first);
-        finish_s = inst.clock;
+             (inst.f.clock -. a.first_token_s)
+             /. float_of_int tokens_after_first);
+        finish_s = inst.f.clock;
       }
     in
     inst.completed <- inst.completed + 1;
@@ -367,7 +446,16 @@ module Instance = struct
     (match inst.on_outcome with
     | Some sink -> sink outcome
     | None -> inst.outcomes <- outcome :: inst.outcomes);
-    inst.reserved <- inst.reserved -. reserve inst a.req
+    inst.f.reserved <- inst.f.reserved -. reserve inst a.req
+
+  (* Append newly resident requests, keeping admission order. *)
+  let admit inst entries =
+    inst.active <- inst.active @ entries;
+    List.iter
+      (fun e ->
+        inst.resident <- inst.resident + 1;
+        inst.resident_context <- inst.resident_context + e.context)
+      entries
 
   (* FCFS admission: walk the queue head while requests have arrived and
      their reservations fit next to everything already resident. The first
@@ -375,14 +463,10 @@ module Instance = struct
      bypass, so admission order is exactly arrival order. A head request is
      admissible when it has arrived, its reservation fits, and a batch slot
      is open. *)
-  let head_admissible inst ~slots =
+  let admissible inst (r : Trace.request) ~slots =
     slots > 0
-    &&
-    match queue_head inst with
-    | Some (r, _) ->
-        r.Trace.arrival_s <= inst.clock
-        && inst.reserved +. reserve inst r <= inst.free
-    | None -> false
+    && r.Trace.arrival_s <= inst.f.clock
+    && inst.f.reserved +. reserve inst r <= inst.free
 
   (* Prefilled requests at the queue head join the decode set instantly:
      their KV is already materialized (the handoff delay was paid as
@@ -390,71 +474,104 @@ module Instance = struct
      else - no prefill batch, no clock advance. Joins stop at the first
      fresh (or blocked) head, keeping admission strictly FCFS even in a
      mixed queue. *)
-  let join_prefilled inst =
-    let joined = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let slots = inst.config.max_batch - List.length inst.active in
-      match queue_head inst with
-      | Some (r, true) when head_admissible inst ~slots ->
-          ignore (queue_pop inst);
-          inst.reserved <- inst.reserved +. reserve inst r;
-          incr joined;
-          inst.active <-
-            inst.active
-            @ [
-                {
-                  req = r;
-                  prefilled = true;
-                  first_token_s = Float.nan;
-                  produced = 0;
-                  context = r.Trace.input_len;
-                };
-              ]
-      | _ -> continue := false
-    done;
-    if !joined > 0 then begin
-      Metrics.incr ~by:!joined (Lazy.force m_admitted);
-      note_peak inst
-    end
+  let rec join_prefilled_from inst joined n =
+    match queue inst with
+    | (r, true) :: _
+      when admissible inst r ~slots:(inst.config.max_batch - inst.resident - n)
+      ->
+        queue_pop inst;
+        inst.f.reserved <- inst.f.reserved +. reserve inst r;
+        let e =
+          {
+            req = r;
+            prefilled = true;
+            first_token_s = Float.nan;
+            produced = 0;
+            context = r.Trace.input_len;
+          }
+        in
+        join_prefilled_from inst (e :: joined) (n + 1)
+    | _ ->
+        if n > 0 then begin
+          admit inst (List.rev joined);
+          inst.unflushed_admitted <- inst.unflushed_admitted + n;
+          note_peak inst
+        end
+
+  let join_prefilled inst = join_prefilled_from inst [] 0
 
   (* Pop the maximal admissible run of fresh requests at the queue head,
      reserving as it goes. Called only once the policy has decided to run
      a prefill batch. *)
   let take_fresh inst =
-    let rec take acc n =
-      if n <= 0 then List.rev acc
-      else
-        match queue_head inst with
-        | Some (r, false)
-          when r.Trace.arrival_s <= inst.clock
-               && inst.reserved +. reserve inst r <= inst.free ->
-            ignore (queue_pop inst);
-            inst.reserved <- inst.reserved +. reserve inst r;
-            take (r :: acc) (n - 1)
-        | _ -> List.rev acc
+    let rec take acc slots =
+      match queue inst with
+      | (r, false) :: _ when admissible inst r ~slots ->
+          queue_pop inst;
+          inst.f.reserved <- inst.f.reserved +. reserve inst r;
+          take (r :: acc) (slots - 1)
+      | _ -> List.rev acc
     in
-    take [] (inst.config.max_batch - List.length inst.active)
+    take [] (inst.config.max_batch - inst.resident)
 
-  let step inst =
-    (* Float hygiene: releases are interleaved with later reservations, so
-       [reserved] can drain to a tiny nonzero residue instead of exactly 0.
-       Snapping it when the batch empties keeps admission exact there - a
-       feasible queue head must always fit into an empty batch. *)
-    if inst.active = [] then inst.reserved <- 0.;
-    (* Event jump: with nothing resident, advance straight to the next
-       arrival instead of spinning. *)
-    (match (inst.active, queue_head inst) with
-    | [], Some (next, _) when next.Trace.arrival_s > inst.clock ->
-        inst.clock <- next.Trace.arrival_s
-    | _ -> ());
+  let is_done a = a.produced >= a.req.Trace.output_len
+
+  (* One decode token for every resident request; returns how many of
+     them have now produced their last token. *)
+  let rec decode_tokens inst finished = function
+    | [] -> finished
+    | a :: rest ->
+        a.produced <- a.produced + 1;
+        a.context <- a.context + 1;
+        if Float.is_nan a.first_token_s then a.first_token_s <- inst.f.clock;
+        decode_tokens inst (if is_done a then finished + 1 else finished) rest
+
+  (* Finish the requests that produced their last token, in admission
+     order (the release order [reserved]'s float arithmetic depends on),
+     and drop them from the resident set. *)
+  let retire inst =
+    let finished, still_active = List.partition is_done inst.active in
+    List.iter
+      (fun a ->
+        inst.resident <- inst.resident - 1;
+        inst.resident_context <- inst.resident_context - a.context;
+        finish inst a)
+      finished;
+    inst.active <- still_active
+
+  (* Account one iteration of [batch] resident requests that took [t]. *)
+  let advance inst ~batch t =
+    inst.f.clock <- inst.f.clock +. t;
+    inst.f.busy_weighted <- inst.f.busy_weighted +. (float_of_int batch *. t);
+    inst.f.busy_time <- inst.f.busy_time +. t;
+    inst.produced_tokens <- inst.produced_tokens + batch;
+    note_occupancy inst batch
+  [@@inline]
+
+  (* One scheduler iteration, without the registry flush. *)
+  let step_once inst =
+    if inst.resident = 0 then begin
+      (* Float hygiene: releases are interleaved with later reservations,
+         so [reserved] can drain to a tiny nonzero residue instead of
+         exactly 0. Snapping it when the batch empties keeps admission
+         exact there - a feasible queue head must always fit into an empty
+         batch. *)
+      inst.f.reserved <- 0.;
+      (* Event jump: with nothing resident, advance straight to the next
+         arrival instead of spinning. *)
+      match queue inst with
+      | (next, _) :: _ when next.Trace.arrival_s > inst.f.clock ->
+          inst.f.clock <- next.Trace.arrival_s
+      | _ -> ()
+    end;
     join_prefilled inst;
-    let slots = inst.config.max_batch - List.length inst.active in
     let can_prefill =
-      head_admissible inst ~slots
-      && match queue_head inst with Some (_, pre) -> not pre | None -> false
+      match queue inst with
+      | (r, false) :: _ ->
+          admissible inst r ~slots:(inst.config.max_batch - inst.resident)
+      | _ -> false
     in
-    let can_decode = inst.active <> [] in
+    let can_decode = inst.resident > 0 in
     let do_prefill =
       can_prefill
       && ((not can_decode)
@@ -470,103 +587,93 @@ module Instance = struct
       let input_len =
         List.fold_left (fun acc r -> max acc r.Trace.input_len) 1 admitted
       in
-      Metrics.incr (Lazy.force m_prefills);
-      Metrics.incr ~by:batch (Lazy.force m_admitted);
-      Metrics.observe (Lazy.force m_occupancy) (float_of_int batch);
+      inst.unflushed_prefills <- inst.unflushed_prefills + 1;
+      inst.unflushed_admitted <- inst.unflushed_admitted + batch;
       let t =
-        let step () = inst.stepper.prefill_s ~batch ~input_len in
-        if not (Span.enabled ()) then step ()
+        if not (Span.enabled ()) then inst.stepper.prefill_s ~batch ~input_len
         else
           Span.with_span "serve.prefill"
             ~attrs:
               [ ("admitted", Span.Int batch);
                 ("input_len", Span.Int input_len);
-                ("kv_free_bytes", Span.Float (inst.free -. inst.reserved)) ]
-            step
+                ("kv_free_bytes", Span.Float (inst.free -. inst.f.reserved)) ]
+            (fun () -> inst.stepper.prefill_s ~batch ~input_len)
       in
-      inst.clock <- inst.clock +. t;
-      inst.busy_weighted <- inst.busy_weighted +. (float_of_int batch *. t);
-      inst.busy_time <- inst.busy_time +. t;
+      advance inst ~batch t;
       inst.prefill_batches <- inst.prefill_batches + 1;
-      inst.produced_tokens <- inst.produced_tokens + batch;
-      List.iter
-        (fun (r : Trace.request) ->
-          inst.work_tokens <-
-            inst.work_tokens - r.Trace.input_len - min 1 r.Trace.output_len;
-          let entry =
-            {
-              req = r;
-              prefilled = false;
-              first_token_s = inst.clock;
-              produced = 1;
-              context = r.Trace.input_len + 1;
-            }
-          in
-          if r.Trace.output_len <= 1 then finish inst entry
-          else inst.active <- inst.active @ [ entry ])
-        admitted;
+      let staying =
+        List.fold_left
+          (fun acc (r : Trace.request) ->
+            inst.work_tokens <-
+              inst.work_tokens - r.Trace.input_len - min 1 r.Trace.output_len;
+            let entry =
+              {
+                req = r;
+                prefilled = false;
+                first_token_s = inst.f.clock;
+                produced = 1;
+                context = r.Trace.input_len + 1;
+              }
+            in
+            if r.Trace.output_len <= 1 then begin
+              finish inst entry;
+              acc
+            end
+            else entry :: acc)
+          [] admitted
+      in
+      admit inst (List.rev staying);
       note_peak inst
     end
     else if can_decode then begin
       inst.last_was_prefill <- false;
-      let batch_list = inst.active in
-      let batch = List.length batch_list in
-      let context =
-        List.fold_left (fun acc a -> acc + a.context) 0 batch_list / batch
-      in
-      Metrics.incr (Lazy.force m_decodes);
-      Metrics.observe (Lazy.force m_occupancy) (float_of_int batch);
+      let batch = inst.resident in
+      let context = inst.resident_context / batch in
+      inst.unflushed_decodes <- inst.unflushed_decodes + 1;
       let t =
-        let step () = inst.stepper.decode_s ~batch ~context in
-        if not (Span.enabled ()) then step ()
+        if not (Span.enabled ()) then inst.stepper.decode_s ~batch ~context
         else
           Span.with_span "serve.decode"
             ~attrs:
               [ ("batch", Span.Int batch);
                 ("context", Span.Int context);
-                ("kv_free_bytes", Span.Float (inst.free -. inst.reserved)) ]
-            step
+                ("kv_free_bytes", Span.Float (inst.free -. inst.f.reserved)) ]
+            (fun () -> inst.stepper.decode_s ~batch ~context)
       in
-      inst.clock <- inst.clock +. t;
-      inst.busy_weighted <- inst.busy_weighted +. (float_of_int batch *. t);
-      inst.busy_time <- inst.busy_time +. t;
+      advance inst ~batch t;
       inst.decode_steps <- inst.decode_steps + 1;
-      inst.produced_tokens <- inst.produced_tokens + batch;
       inst.work_tokens <- inst.work_tokens - batch;
-      List.iter
-        (fun a ->
-          a.produced <- a.produced + 1;
-          a.context <- a.context + 1;
-          if Float.is_nan a.first_token_s then a.first_token_s <- inst.clock)
-        batch_list;
+      let finished = decode_tokens inst 0 inst.active in
+      inst.resident_context <- inst.resident_context + batch;
       note_peak inst;
-      let finished, still_active =
-        List.partition
-          (fun a -> a.produced >= a.req.Trace.output_len)
-          batch_list
-      in
-      List.iter (finish inst) finished;
-      inst.active <- still_active
+      (* The resident list is rebuilt only when a request leaves it. *)
+      if finished > 0 then retire inst
     end
     else begin
       (* Nothing resident and the queue head has not arrived; unreachable
          given the event jump above, but advance defensively rather than
          spin. *)
-      match queue_head inst with
-      | Some (next, _) ->
-          inst.clock <- Float.max inst.clock next.Trace.arrival_s
-      | None -> ()
+      match queue inst with
+      | (next, _) :: _ ->
+          inst.f.clock <- Float.max inst.f.clock next.Trace.arrival_s
+      | [] -> ()
     end
 
+  let step inst =
+    step_once inst;
+    flush inst
+
   let run_until inst horizon =
-    while (not (idle inst)) && inst.clock < horizon do
-      step inst
-    done
+    while (not (idle inst)) && inst.f.clock < horizon do
+      step_once inst
+    done;
+    flush inst
 
   let drain inst =
     while not (idle inst) do
-      step inst
-    done
+      step_once inst
+    done;
+    flush inst
 
   let stats inst =
     let outcomes = List.rev inst.outcomes in
@@ -576,7 +683,7 @@ module Instance = struct
     (* Throughput over the span the server was actually serving: the clock
        starts at 0 but the first request may arrive arbitrarily late, and
        that idle lead-in says nothing about the hardware. *)
-    let serving_span = inst.clock -. inst.first_arrival in
+    let serving_span = inst.f.clock -. inst.f.first_arrival in
     let throughput =
       if serving_span > 0. && Float.is_finite serving_span then
         float_of_int generated_tokens /. serving_span
@@ -607,14 +714,14 @@ module Instance = struct
     {
       outcomes;
       rejected = List.rev inst.rejected_rev;
-      makespan_s = inst.clock;
+      makespan_s = inst.f.clock;
       generated_tokens;
       produced_tokens = inst.produced_tokens;
       throughput_tokens_per_s = throughput;
       mean_batch_occupancy =
-        (if inst.busy_time > 0. then inst.busy_weighted /. inst.busy_time
+        (if inst.f.busy_time > 0. then inst.f.busy_weighted /. inst.f.busy_time
          else 0.);
-      busy_s = inst.busy_time;
+      busy_s = inst.f.busy_time;
       p50_ttft_s = Stats.percentile 50. ttfts;
       p95_ttft_s = Stats.percentile 95. ttfts;
       p50_tbt_s = Stats.percentile 50. tbts;
@@ -622,7 +729,7 @@ module Instance = struct
       kv_limited_batch;
       prefill_batches = inst.prefill_batches;
       decode_steps = inst.decode_steps;
-      peak_hbm_bytes = inst.peak;
+      peak_hbm_bytes = inst.f.peak;
       hbm_capacity_bytes = inst.capacity;
     }
 end

@@ -27,7 +27,10 @@
     alike) always accumulate in {!Acs_util.Metrics}, and with
     {!Acs_util.Trace} enabled each prefill batch and decode step emits a
     span (batch, context, free KV bytes) nested under a per-run
-    [serve.run] root. *)
+    [serve.run] root. An instance counts its iterations in its own fields
+    and adds them to the registry when {!Instance.step},
+    {!Instance.run_until} or {!Instance.drain} returns, so steps on
+    different domains share no cache line. *)
 
 type policy =
   | Prefill_priority
@@ -214,7 +217,9 @@ module Instance : sig
 
   val step : t -> unit
   (** One scheduler iteration: join prefilled arrivals, then either run a
-      prefill batch, a decode step, or jump to the next arrival. *)
+      prefill batch, a decode step, or jump to the next arrival. Like
+      {!run_until} and {!drain}, it adds its iteration counts to the
+      metrics registry before it returns. *)
 
   val run_until : t -> float -> unit
   (** Step while work remains and [now] is before the horizon. The last

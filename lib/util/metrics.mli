@@ -2,12 +2,12 @@
     histograms, with optional labels.
 
     Instrumented subsystems ({!Parallel}, the evaluation engine, the
-    serving simulator) register metrics lazily by name; registration is
-    get-or-create, so the handle returned for a given (name, labels) pair
-    is always the same underlying metric and increments from any module or
-    domain accumulate in one place. Counters and histogram buckets are
-    atomics - safe and cheap to bump from worker domains; sums use a
-    compare-and-set loop.
+    serving simulator) register metrics on first use through a {!handle};
+    registration is get-or-create, so the metric returned for a given
+    (name, labels) pair is always the same one and increments from any
+    module or domain accumulate in one place. Counters and histogram
+    buckets are atomics - safe and cheap to bump from worker domains; sums
+    use a compare-and-set loop.
 
     Histograms are log-scale: buckets at four per decade from 1 ns to
     1000 s (values at or below the floor land in an underflow bucket,
@@ -24,6 +24,23 @@ type labels = (string * string) list
 type counter
 type gauge
 type histogram
+
+(** {2 Handles (registration on first use)} *)
+
+type 'a handle
+(** A metric registered the first time it is used, from any domain. Use
+    it where a [lazy] registration would otherwise go: forcing one
+    suspension from two domains at once raises
+    [CamlinternalLazy.Undefined], while racing first uses of a handle all
+    resolve to the same registered metric. *)
+
+val handle : (unit -> 'a) -> 'a handle
+(** [handle (fun () -> counter "name")]. The function may run more than
+    once under a race, so it must only register (get-or-create). *)
+
+val get : 'a handle -> 'a
+(** The metric, registering it on the first call. After that, an atomic
+    load and a match. *)
 
 (** {2 Counters (monotone integers)} *)
 
@@ -48,8 +65,16 @@ val gauge_value : gauge -> float
 val histogram : ?labels:labels -> string -> histogram
 
 val observe : histogram -> float -> unit
-(** NaN observations are counted in the underflow bucket (they carry no
-    magnitude) and excluded from the sum. *)
+(** A value lands in the bucket whose upper bound is the smallest one at
+    or above it. NaN observations are counted in the underflow bucket
+    (they carry no magnitude) and excluded from the sum; values beyond the
+    top bound, infinity included, land in the overflow bucket. *)
+
+val observe_n : histogram -> float -> int -> unit
+(** [observe_n h v n] is [n] observations of [v] at the cost of one: the
+    bucket count grows by [n] and the sum by [v *. float n], which is
+    exact when [v] and [n] are integers whose product is below 2{^53}.
+    Raises [Invalid_argument] when [n < 0]. *)
 
 val time : histogram -> (unit -> 'a) -> 'a
 (** Run the body and observe its wall-clock duration in seconds.

@@ -38,9 +38,10 @@ let with_jobs n f =
 
 (* --- observability --- *)
 
-let m_pool_size = lazy (Metrics.gauge "parallel_pool_size")
-let m_maps = lazy (Metrics.counter "parallel_maps_total")
-let m_chunks = lazy (Metrics.counter "parallel_chunks_total")
+let m_pool_size = Metrics.handle (fun () -> Metrics.gauge "parallel_pool_size")
+let m_maps = Metrics.handle (fun () -> Metrics.counter "parallel_maps_total")
+let m_chunks =
+  Metrics.handle (fun () -> Metrics.counter "parallel_chunks_total")
 
 let busy_gauge () =
   Metrics.gauge "parallel_busy_seconds"
@@ -112,8 +113,8 @@ let run_chunks ~jobs ~chunk ~total process =
     done
   else begin
     ensure_workers helpers;
-    Metrics.incr (Lazy.force m_maps);
-    Metrics.set_gauge (Lazy.force m_pool_size) (float_of_int !worker_count);
+    Metrics.incr (Metrics.get m_maps);
+    Metrics.set_gauge (Metrics.get m_pool_size) (float_of_int !worker_count);
     let next_chunk = Atomic.make 0 in
     let failure = Atomic.make None in
     let work () =
@@ -124,7 +125,7 @@ let run_chunks ~jobs ~chunk ~total process =
       let rec loop () =
         let c = Atomic.fetch_and_add next_chunk 1 in
         if c < n_chunks then begin
-          Metrics.incr (Lazy.force m_chunks);
+          Metrics.incr (Metrics.get m_chunks);
           (if Atomic.get failure = None then
              try
                let lo = c * chunk in

@@ -235,6 +235,110 @@ let t_multi_domain_counter () =
   Alcotest.(check int) "no lost observations" 4000 (Metrics.hist_count h);
   check_close ~eps:1e-6 "cas-summed" 4e-3 (Metrics.hist_sum h)
 
+(* Bucket [i]'s reported upper bound, as the registry computes it. *)
+let bucket_bound i = 1e-9 *. (10. ** (float_of_int i /. 4.))
+
+let t_histogram_edges () =
+  fresh ();
+  let h = Metrics.histogram "obs_edge_seconds" in
+  (* The bound reported for a lone observation of [v]. *)
+  let bound_of v =
+    Metrics.reset ();
+    Metrics.observe h v;
+    Metrics.quantile h 1.
+  in
+  let bits = Int64.bits_of_float in
+  let lands what v expected =
+    if bits (bound_of v) <> bits expected then
+      Alcotest.failf "%s (%h) lands under bound %h, expected %h" what v
+        (bound_of v) expected
+  in
+  (* Every edge belongs to the bucket it bounds ("le" is inclusive); the
+     next float up belongs to the bucket above, the one below to the
+     edge's own. *)
+  for i = 0 to 48 do
+    let b = bucket_bound i in
+    lands (Printf.sprintf "edge %d" i) b b;
+    lands (Printf.sprintf "just above edge %d" i) (Float.succ b)
+      (bucket_bound (i + 1));
+    if i > 0 then lands (Printf.sprintf "just below edge %d" i) (Float.pred b) b
+  done;
+  (* Past the top bound: the overflow bucket, never the first one (the
+     ratio to the floor used to overflow to infinity and land there). *)
+  List.iter
+    (fun (what, v) -> lands what v (bucket_bound 49))
+    [ ("infinity", infinity); ("1e300", 1e300); ("max_float", max_float);
+      ("2e299", 2e299) ];
+  (* Nothing to measure: the underflow bucket. *)
+  List.iter
+    (fun (what, v) -> lands what v (bucket_bound 0))
+    [ ("nan", nan); ("zero", 0.); ("negative", -1.);
+      ("neg_infinity", neg_infinity) ];
+  Metrics.reset ();
+  Metrics.observe h nan;
+  Alcotest.(check int) "nan counted" 1 (Metrics.hist_count h);
+  check_close "nan not summed" 0. (Metrics.hist_sum h)
+
+let t_observe_n () =
+  fresh ();
+  let one = Metrics.histogram "obs_one_by_one" in
+  let batched = Metrics.histogram "obs_batched" in
+  List.iter
+    (fun (v, n) ->
+      for _ = 1 to n do
+        Metrics.observe one v
+      done;
+      Metrics.observe_n batched v n)
+    [ (3., 5); (64., 1000); (1., 0); (1e-3, 7); (nan, 2) ];
+  Alcotest.(check (list (pair (float 0.) int)))
+    "same buckets" (Metrics.buckets one) (Metrics.buckets batched);
+  Alcotest.(check int) "same count" (Metrics.hist_count one)
+    (Metrics.hist_count batched);
+  check_close "same sum" (Metrics.hist_sum one) (Metrics.hist_sum batched);
+  check_raises_invalid "negative count" (fun () ->
+      Metrics.observe_n batched 1. (-1))
+
+(* First uses of fresh handles from several domains released at once by
+   a barrier: a [lazy] handle raised [CamlinternalLazy.Undefined] here.
+   Every use must succeed, and each name must end up as one registry
+   entry holding every domain's increment. *)
+let t_handle_race () =
+  fresh ();
+  let domains = 4 and names = 200 in
+  let name i = Printf.sprintf "obs_handle_race_%03d_total" i in
+  let handles =
+    Array.init names (fun i ->
+        Metrics.handle (fun () -> Metrics.counter (name i)))
+  in
+  let arrived = Atomic.make 0 and failures = Atomic.make 0 in
+  let worker () =
+    for round = 0 to names - 1 do
+      Atomic.incr arrived;
+      while Atomic.get arrived < domains * (round + 1) do
+        Domain.cpu_relax ()
+      done;
+      try Metrics.incr (Metrics.get handles.(round))
+      with _ -> Atomic.incr failures
+    done
+  in
+  List.iter Domain.join (List.init domains (fun _ -> Domain.spawn worker));
+  Alcotest.(check int) "no first use raised" 0 (Atomic.get failures);
+  let exported =
+    List.map
+      (fun c -> Json.to_str (Json.member "name" c))
+      (Json.to_list (Json.member "counters" (Metrics.export ())))
+  in
+  for i = 0 to names - 1 do
+    Alcotest.(check int)
+      (name i ^ " registered once")
+      1
+      (List.length (List.filter (String.equal (name i)) exported));
+    Alcotest.(check int)
+      (name i ^ " holds every increment")
+      domains
+      (Metrics.counter_value (Metrics.get handles.(i)))
+  done
+
 (* {2 Instrumented subsystems} *)
 
 let t_engine_spans () =
@@ -301,6 +405,166 @@ let t_eval_cache_metrics () =
   Alcotest.(check int) "evaluation timed" 1
     (Metrics.hist_count (Metrics.histogram "dse_eval_seconds"))
 
+(* {2 Serving metrics against the simulators' own accounting} *)
+
+(* The serving metrics' registry values; the property compares deltas. *)
+type serving_counts = {
+  prefills : int;
+  decodes : int;
+  rejected : int;
+  occ_count : int;
+  occ_sum : float;
+}
+
+let serving_counts () =
+  let c name = Metrics.counter_value (Metrics.counter name) in
+  let occ = Metrics.histogram "serving_batch_occupancy" in
+  {
+    prefills = c "serving_prefill_batches_total";
+    decodes = c "serving_decode_steps_total";
+    rejected = c "serving_rejected_total";
+    occ_count = Metrics.hist_count occ;
+    occ_sum = Metrics.hist_sum occ;
+  }
+
+let counts_since b =
+  let a = serving_counts () in
+  {
+    prefills = a.prefills - b.prefills;
+    decodes = a.decodes - b.decodes;
+    rejected = a.rejected - b.rejected;
+    occ_count = a.occ_count - b.occ_count;
+    occ_sum = a.occ_sum -. b.occ_sum;
+  }
+
+(* What the registry must have gained for these per-instance stats: every
+   iteration is one occupancy observation of its batch size, and a step
+   of batch [b] produces [b] tokens. *)
+let expected_counts ~rejected (stats : Simulator.stats list) =
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+  let prefills = sum (fun s -> s.Simulator.prefill_batches)
+  and decodes = sum (fun s -> s.Simulator.decode_steps) in
+  {
+    prefills;
+    decodes;
+    rejected;
+    occ_count = prefills + decodes;
+    occ_sum = float_of_int (sum (fun s -> s.Simulator.produced_tokens));
+  }
+
+let pp_counts c =
+  Printf.sprintf "prefills %d, decodes %d, rejected %d, occupancy %d / %g"
+    c.prefills c.decodes c.rejected c.occ_count c.occ_sum
+
+let same_counts what ~expected got =
+  if got <> expected then
+    QCheck.Test.fail_reportf "%s: registry gained %s, stats say %s" what
+      (pp_counts got) (pp_counts expected)
+
+(* Random arrival-ordered traces with unique ids; about one request in
+   twelve asks for a KV trajectory no device can hold, so rejections
+   occur. *)
+let serving_case_arb =
+  let open QCheck.Gen in
+  let request =
+    let* gap = float_bound_inclusive 0.5 in
+    let* huge = int_range 0 11 in
+    let* input_len = int_range 1 2048 in
+    let* output_len = int_range 1 200 in
+    return (gap, (if huge = 0 then 50_000_000 else input_len), output_len)
+  in
+  let gen =
+    let* reqs = list_size (int_range 1 40) request in
+    let* policy =
+      oneofl [ Simulator.Prefill_priority; Simulator.Decode_fair ]
+    in
+    let* context_bucket = oneofl [ 1; 64 ] in
+    let* split = float_bound_inclusive 1. in
+    let _, trace =
+      List.fold_left
+        (fun (t, acc) (gap, input_len, output_len) ->
+          let arrival_s = t +. gap in
+          ( arrival_s,
+            { Trace.id = List.length acc; arrival_s; input_len; output_len }
+            :: acc ))
+        (0., []) reqs
+    in
+    return (List.rev trace, policy, context_bucket, split)
+  in
+  QCheck.make
+    ~print:(fun (trace, policy, bucket, split) ->
+      Printf.sprintf "%d requests, %s, context_bucket %d, split %g"
+        (List.length trace)
+        (Simulator.policy_to_string policy)
+        bucket split)
+    gen
+
+(* The registry gains exactly what the simulators count, whichever layer
+   steps them: [Simulator.run]; a bare instance checked after a
+   [run_until], a [step] and the final [drain] (so every stepping call
+   must flush before it returns, and flush each step once); and the
+   streamed fleet, unified and disaggregated, on 1 and 4 domains. *)
+let t_serving_metrics_match_stats =
+  qcheck ~count:40 "serving metrics = simulator stats" serving_case_arb
+    (fun (trace, policy, context_bucket, split) ->
+      let config =
+        { Simulator.default_config with Simulator.policy; context_bucket }
+      in
+      let dev = Presets.a100 and model = Model.llama3_8b in
+      let b = serving_counts () in
+      let s = Simulator.run ~config dev model trace in
+      same_counts "Simulator.run" (counts_since b)
+        ~expected:
+          (expected_counts ~rejected:(List.length s.Simulator.rejected) [ s ]);
+      let inst = Simulator.Instance.create ~config dev model in
+      let b = serving_counts () in
+      List.iter (Simulator.Instance.submit inst) trace;
+      let so_far what =
+        same_counts what (counts_since b)
+          ~expected:
+            (expected_counts
+               ~rejected:(Simulator.Instance.rejected_count inst)
+               [ Simulator.Instance.stats inst ])
+      in
+      let last = (List.nth trace (List.length trace - 1)).Trace.arrival_s in
+      Simulator.Instance.run_until inst (split *. last);
+      so_far "Instance.run_until";
+      Simulator.Instance.step inst;
+      so_far "Instance.step";
+      Simulator.Instance.drain inst;
+      so_far "Instance.drain";
+      let fleets =
+        [
+          ("unified", Fleet.make [ Fleet.pool ~config ~count:2 dev ]);
+          ( "disaggregated",
+            Fleet.make
+              [
+                Fleet.pool ~role:Fleet.Prefill ~config ~count:1 dev;
+                Fleet.pool ~role:Fleet.Decode ~config ~count:2 dev;
+              ] );
+        ]
+      in
+      List.iter
+        (fun (name, fleet) ->
+          List.iter
+            (fun jobs ->
+              let b = serving_counts () in
+              let fs =
+                Parallel.with_jobs jobs (fun () ->
+                    Fleet.run_stream fleet model (Trace.of_list trace))
+              in
+              same_counts
+                (Printf.sprintf "%s run_stream at %d jobs" name jobs)
+                (counts_since b)
+                ~expected:
+                  (expected_counts ~rejected:fs.Fleet.rejected_count
+                     (List.concat_map
+                        (fun ps -> Array.to_list ps.Fleet.per_group)
+                        fs.Fleet.pools)))
+            [ 1; 4 ])
+        fleets;
+      true)
+
 let suite =
   [
     test "disabled tracing is a no-op" t_disabled_noop;
@@ -316,7 +580,11 @@ let suite =
     test "timer observes raising body" t_time_exception_safe;
     test "export and in-place reset" t_export_and_reset;
     test "counters across domains" t_multi_domain_counter;
+    test "histogram bucket edges and overflow" t_histogram_edges;
+    test "batched observations" t_observe_n;
+    test "handles race-free on first use" t_handle_race;
     test "engine phase spans and histograms" t_engine_spans;
     test "serving spans and counters" t_serving_spans;
     test "eval cache metrics" t_eval_cache_metrics;
+    t_serving_metrics_match_stats;
   ]

@@ -247,6 +247,52 @@ let t_engine_identity () =
         true (legacy = compiled))
     [ Simulator.Prefill_priority; Simulator.Decode_fair ]
 
+(* The compiled stepper memoizes step times under one int per (phase,
+   batch, length). A fixed-width packing (say 20 bits per field) would
+   alias these pairs - a batch past 2^20 spills into the length's bits -
+   and a hit would then return another step's time. Every query, first
+   (a miss) and again in reverse order (a hit), must equal the legacy
+   engine's evaluation bit for bit, including a batch above [max_batch]
+   and lengths past what the packing can hold, which bypass the memo. *)
+let t_stepper_memo_key () =
+  let config engine =
+    {
+      Simulator.default_config with
+      Simulator.engine;
+      max_batch = 1 lsl 22;
+      context_bucket = 1;
+    }
+  in
+  let compiled =
+    Simulator.make_stepper ~config:(config Simulator.Compiled) Presets.a100
+      Model.llama3_8b
+  and legacy =
+    Simulator.make_stepper ~config:(config Simulator.Legacy) Presets.a100
+      Model.llama3_8b
+  in
+  let m = 1 lsl 20 in
+  let pairs =
+    [ (1, 1); (1, 2); (1, 3); (m + 1, 1); (m + 1, 2); (2, 1); (1, m + 1);
+      (m, m); (m + 1, m - 1); (m - 1, m + 1); (3, 2 * m); (2 * m + 3, 1);
+      (1, 1 lsl 41); (5, (1 lsl 41) + 5); (1 lsl 23, 64); (64, 1 lsl 23) ]
+  in
+  let check_pair (batch, len) =
+    let bits = Int64.bits_of_float in
+    let expect what want got =
+      if bits want <> bits got then
+        Alcotest.failf "%s at batch %d, length %d: compiled %h, legacy %h" what
+          batch len got want
+    in
+    expect "prefill"
+      (legacy.Simulator.prefill_s ~batch ~input_len:len)
+      (compiled.Simulator.prefill_s ~batch ~input_len:len);
+    expect "decode"
+      (legacy.Simulator.decode_s ~batch ~context:len)
+      (compiled.Simulator.decode_s ~batch ~context:len)
+  in
+  List.iter check_pair pairs;
+  List.iter check_pair (List.rev pairs)
+
 let t_policies_schedule_differently () =
   (* Under contention the two policies must actually produce different
      schedules (decode-fair interleaves decode steps between admissions). *)
@@ -658,6 +704,7 @@ let suite =
     test "never-fitting requests are rejected" t_never_fit_rejected;
     test "kv admission is safe under pressure" t_kv_admission_is_safe;
     test "compiled engine = legacy engine, both policies" t_engine_identity;
+    test "stepper memo keys never alias" t_stepper_memo_key;
     test "policies schedule differently under load" t_policies_schedule_differently;
     test "prefill batches count in occupancy" t_prefill_counts_in_occupancy;
     test "memory bandwidth helps serving" t_memory_bandwidth_helps_serving;
