@@ -54,8 +54,8 @@ let disaggregated t = List.exists (fun p -> p.role = Prefill) t.pools
 let make ?(routing = Least_loaded) ?handoff_gb_s pools =
   if pools = [] then invalid_arg "Cluster.make: at least one pool";
   (match handoff_gb_s with
-  | Some b when b <= 0. ->
-      invalid_arg "Cluster.make: handoff_gb_s must be positive"
+  | Some b when not (Float.is_finite b && b > 0.) ->
+      invalid_arg "Cluster.make: handoff_gb_s must be finite and positive"
   | _ -> ());
   let names = List.map (fun p -> p.name) pools in
   if List.length (List.sort_uniq compare names) <> List.length names then
@@ -111,15 +111,9 @@ type fleet_stats = {
    prices requests with it under [Phase_affine]). Each node gets a
    private stepper rather than sharing one per pool: the compiled
    stepper's shape memo is a plain hash table, and private tables are
-   what lets the drain and the epoch advance run nodes on separate
+   what lets the drain and the round advance run nodes on separate
    domains without synchronization (the memo is pure, so per-node tables
-   change cost, not results). Routing happens in global arrival order;
-   in the materialized path candidates are advanced to the arrival time
-   first, so load signals reflect what each device will have finished by
-   then. Stepping is otherwise deferred to the drain - per-instance
-   schedules depend only on the submitted set and order, so this is
-   equivalent to a synchronous co-simulation (and makes a 1-group fleet
-   reproduce {!Simulator.run} exactly). *)
+   change cost, not results). Routing happens in global arrival order. *)
 
 type node = { inst : Simulator.Instance.t; stepper : Simulator.stepper }
 
@@ -145,13 +139,12 @@ let est_service_s (st : Simulator.stepper) ~prefilled (r : Trace.request) =
     +. float_of_int decode_tokens
        *. st.Simulator.decode_s ~batch:1 ~context:r.Trace.input_len
 
-(* [advance_to_arrival:false] is the streaming fleet's router: it must not
-   step nodes itself (the epoch rounds do that in parallel), so
-   least-loaded/phase-affine decisions price with signals as of the last
-   epoch boundary instead of the exact arrival instant. Round-robin is
-   unaffected. *)
-let dispatch ?(advance_to_arrival = true) router ~prefilled
-    (r : Trace.request) =
+(* [advance_to_arrival] steps every candidate to the arrival instant
+   before a least-loaded/phase-affine choice, so load signals reflect what
+   each device will have finished by then. Without it (the streamed
+   mode, whose rounds step nodes in parallel) decisions price with
+   signals as of the last round boundary. Round-robin is unaffected. *)
+let dispatch ~advance_to_arrival router ~prefilled (r : Trace.request) =
   let nodes = router.nodes in
   let n = Array.length nodes in
   let advance () =
@@ -197,13 +190,10 @@ let dispatch ?(advance_to_arrival = true) router ~prefilled
   Simulator.Instance.submit ~prefilled chosen.inst r;
   Metrics.incr (Metrics.get m_routed)
 
-(* --- the fleet run --- *)
+(* --- the fleet loop --- *)
 
 let by_arrival (a : Trace.request) (b : Trace.request) =
   compare a.Trace.arrival_s b.Trace.arrival_s
-
-let by_arrival_id (a : Trace.request) (b : Trace.request) =
-  compare (a.Trace.arrival_s, a.Trace.id) (b.Trace.arrival_s, b.Trace.id)
 
 let handoff_bytes_per_s (t : t) =
   (match t.handoff_gb_s with
@@ -238,307 +228,59 @@ let make_nodes ?calib (t : t) model =
             }) ))
     t.pools
 
-(* Nodes are independent between routing decisions, so draining (and
-   horizon-bounded advancing) shards across the domain pool. [~chunk:1]
-   because per-node work is large and node counts small; results merge on
-   the calling domain afterwards, in node order, which keeps every
-   aggregate bit-identical whatever ACS_JOBS says. *)
-let drain_nodes nodes =
+(* Nodes are independent between routing decisions, so advancing them to
+   a horizon - or draining them, at [infinity] - shards across the domain
+   pool. [~chunk:1] because per-node work is large and node counts small;
+   results merge on the calling domain afterwards, in node order, which
+   keeps every aggregate bit-identical whatever ACS_JOBS says. *)
+let step_nodes nodes horizon =
   ignore
     (Parallel.map_array ~chunk:1
-       (fun nd -> Simulator.Instance.drain nd.inst)
+       (fun nd ->
+         if horizon = infinity then Simulator.Instance.drain nd.inst
+         else Simulator.Instance.run_until nd.inst horizon)
        nodes)
 
-let advance_nodes nodes horizon =
-  ignore
-    (Parallel.map_array ~chunk:1
-       (fun nd -> Simulator.Instance.run_until nd.inst horizon)
-       nodes)
+(* One loop serves {!run} and {!run_stream}. The router thread alternates
+   two phases in rounds:
 
-let run_fleet ?calib (t : t) model requests =
-  if requests = [] then invalid_arg "Cluster.run: empty trace";
-  let requests = List.stable_sort by_arrival requests in
-  let originals : (int, Trace.request) Hashtbl.t =
-    Hashtbl.create (List.length requests)
-  in
-  List.iter
-    (fun (r : Trace.request) ->
-      if Hashtbl.mem originals r.Trace.id then
-        invalid_arg
-          (Printf.sprintf
-             "Cluster.run: duplicate request id %d (ids key the \
-              prefill-to-decode handoff match)"
-             r.Trace.id);
-      Hashtbl.add originals r.Trace.id r)
-    requests;
-  let pools_nodes = make_nodes ?calib t model in
-  let nodes_of_role want =
-    Array.concat
-      (List.filter_map
-         (fun (p, nds) -> if p.role = want then Some nds else None)
-         pools_nodes)
-  in
-  let all_nodes = Array.concat (List.map snd pools_nodes) in
-  let drain = drain_nodes in
-  let handoff_transfers = ref 0 in
-  let handoff_bytes = ref 0. in
-  let handoff_seconds = ref 0. in
-  (* Merged per-original outcomes and rejects, in whatever order the
-     phases produce them; sorted once at the end. *)
-  let merged : Simulator.request_outcome list ref = ref [] in
-  let rejected : Trace.request list ref = ref [] in
-  if not (disaggregated t) then begin
-    let router = { nodes = all_nodes; routing = t.routing; cursor = 0 } in
-    List.iter (dispatch router ~prefilled:false) requests;
-    drain all_nodes;
-    Array.iter
-      (fun nd ->
-        let s = Simulator.Instance.stats nd.inst in
-        merged := s.Simulator.outcomes @ !merged;
-        rejected := s.Simulator.rejected @ !rejected)
-      all_nodes
-  end
-  else begin
-    let bw = handoff_bytes_per_s t in
-    if (not (Float.is_finite bw)) || bw <= 0. then
-      invalid_arg
-        "Cluster.run: fleet has no positive interconnect bandwidth for the \
-         KV handoff; pass ~handoff_gb_s";
-    let p_nodes = nodes_of_role Prefill and d_nodes = nodes_of_role Decode in
-    let p_router = { nodes = p_nodes; routing = t.routing; cursor = 0 } in
-    (* Phase 1: every request runs prefill (plus its first token) on the
-       prefill side. *)
-    List.iter
-      (fun (r : Trace.request) ->
-        dispatch p_router ~prefilled:false { r with Trace.output_len = 1 })
-      requests;
-    drain p_nodes;
-    let prefill_outcome : (int, Simulator.request_outcome) Hashtbl.t =
-      Hashtbl.create (List.length requests)
-    in
-    let decode_reqs = ref [] in
-    Array.iter
-      (fun nd ->
-        let s = Simulator.Instance.stats nd.inst in
-        List.iter
-          (fun (r : Trace.request) ->
-            rejected := Hashtbl.find originals r.Trace.id :: !rejected)
-          s.Simulator.rejected;
-        List.iter
-          (fun (o : Simulator.request_outcome) ->
-            let orig = Hashtbl.find originals o.Simulator.request.Trace.id in
-            Hashtbl.add prefill_outcome orig.Trace.id o;
-            if orig.Trace.output_len <= 1 then
-              (* Nothing left to decode: the prefill outcome is the whole
-                 request. *)
-              merged :=
-                {
-                  Simulator.request = orig;
-                  ttft_s = o.Simulator.ttft_s;
-                  tbt_s = 0.;
-                  finish_s = o.Simulator.finish_s;
-                }
-                :: !merged
-            else begin
-              (* Ship the KV and re-arrive on the decode side after the
-                 transfer; the one prefill token is already in the
-                 context, so the decode sub-request carries the remaining
-                 output. *)
-              let bytes = handoff_kv_bytes model ~input_len:orig.Trace.input_len in
-              let transfer = bytes /. bw in
-              incr handoff_transfers;
-              handoff_bytes := !handoff_bytes +. bytes;
-              handoff_seconds := !handoff_seconds +. transfer;
-              Metrics.incr (Metrics.get m_handoffs);
-              Metrics.observe (Metrics.get m_handoff_s) transfer;
-              decode_reqs :=
-                {
-                  orig with
-                  Trace.arrival_s = o.Simulator.finish_s +. transfer;
-                  input_len = orig.Trace.input_len + 1;
-                  output_len = orig.Trace.output_len - 1;
-                }
-                :: !decode_reqs
-            end)
-          s.Simulator.outcomes)
-      p_nodes;
-    (* Phase 2: decode-side continuation, arrivals in handoff order. *)
-    let d_router = { nodes = d_nodes; routing = t.routing; cursor = 0 } in
-    List.iter
-      (dispatch d_router ~prefilled:true)
-      (List.sort by_arrival_id !decode_reqs);
-    drain d_nodes;
-    Array.iter
-      (fun nd ->
-        let s = Simulator.Instance.stats nd.inst in
-        List.iter
-          (fun (r : Trace.request) ->
-            rejected := Hashtbl.find originals r.Trace.id :: !rejected)
-          s.Simulator.rejected;
-        List.iter
-          (fun (o : Simulator.request_outcome) ->
-            let orig = Hashtbl.find originals o.Simulator.request.Trace.id in
-            let p = Hashtbl.find prefill_outcome orig.Trace.id in
-            let rest = orig.Trace.output_len - 1 in
-            merged :=
-              {
-                Simulator.request = orig;
-                (* First token came off the prefill side; everything
-                   after it - transfer, decode queueing, decode steps -
-                   spreads over the remaining tokens. *)
-                ttft_s = p.Simulator.ttft_s;
-                tbt_s =
-                  (o.Simulator.finish_s -. p.Simulator.finish_s)
-                  /. float_of_int rest;
-                finish_s = o.Simulator.finish_s;
-              }
-              :: !merged)
-          s.Simulator.outcomes)
-      d_nodes
-  end;
-  (* --- aggregate --- *)
-  let outcomes =
-    List.sort
-      (fun (a : Simulator.request_outcome) (b : Simulator.request_outcome) ->
-        compare
-          (a.Simulator.finish_s, a.Simulator.request.Trace.id)
-          (b.Simulator.finish_s, b.Simulator.request.Trace.id))
-      !merged
-  in
-  let rejected = List.sort by_arrival_id !rejected in
-  let stats_by_pool =
-    List.map
-      (fun (p, nds) ->
-        (p, Array.map (fun nd -> Simulator.Instance.stats nd.inst) nds))
-      pools_nodes
-  in
-  let makespan_s =
-    List.fold_left
-      (fun acc (_, sts) ->
-        Array.fold_left
-          (fun acc s -> Float.max acc s.Simulator.makespan_s)
-          acc sts)
-      0. stats_by_pool
-  in
-  let first_arrival = (List.hd requests).Trace.arrival_s in
-  let span = makespan_s -. first_arrival in
-  let span = if span > 0. && Float.is_finite span then span else 0. in
-  let pools =
-    List.map
-      (fun (p, sts) ->
-        let sum f = Array.fold_left (fun acc s -> acc + f s) 0 sts in
-        let busy =
-          Array.fold_left (fun acc s -> acc +. s.Simulator.busy_s) 0. sts
-        in
-        let occ_weighted =
-          Array.fold_left
-            (fun acc s ->
-              acc +. (s.Simulator.mean_batch_occupancy *. s.Simulator.busy_s))
-            0. sts
-        in
-        {
-          pool_name = p.name;
-          pool_role = p.role;
-          pool_count = p.count;
-          per_group = sts;
-          pool_completed = sum (fun s -> List.length s.Simulator.outcomes);
-          pool_rejected = sum (fun s -> List.length s.Simulator.rejected);
-          pool_produced_tokens = sum (fun s -> s.Simulator.produced_tokens);
-          utilization =
-            (if span > 0. then busy /. (float_of_int p.count *. span) else 0.);
-          occupancy = (if busy > 0. then occ_weighted /. busy else 0.);
-        })
-      stats_by_pool
-  in
-  let generated_tokens =
-    List.fold_left
-      (fun acc (o : Simulator.request_outcome) ->
-        acc + o.Simulator.request.Trace.output_len)
-      0 outcomes
-  in
-  let produced_tokens =
-    List.fold_left (fun acc ps -> acc + ps.pool_produced_tokens) 0 pools
-  in
-  let completed = List.length outcomes in
-  let ttfts = List.map (fun (o : Simulator.request_outcome) -> o.Simulator.ttft_s) outcomes in
-  let ttfts = if ttfts = [] then [ 0. ] else ttfts in
-  let tbts =
-    List.filter_map
-      (fun (o : Simulator.request_outcome) ->
-        if o.Simulator.tbt_s > 0. then Some o.Simulator.tbt_s else None)
-      outcomes
-  in
-  let tbts = if tbts = [] then [ 0. ] else tbts in
-  {
-    outcomes;
-    rejected;
-    completed;
-    rejected_count = List.length rejected;
-    slo_attained = None;
-    pools;
-    groups = Array.length all_nodes;
-    makespan_s;
-    serving_span_s = span;
-    generated_tokens;
-    produced_tokens;
-    throughput_tokens_per_s =
-      (if span > 0. then float_of_int generated_tokens /. span else 0.);
-    requests_per_s =
-      (if span > 0. then float_of_int completed /. span else 0.);
-    p50_ttft_s = Stats.percentile 50. ttfts;
-    p95_ttft_s = Stats.percentile 95. ttfts;
-    p50_tbt_s = Stats.percentile 50. tbts;
-    p95_tbt_s = Stats.percentile 95. tbts;
-    handoff_transfers = !handoff_transfers;
-    handoff_bytes = !handoff_bytes;
-    mean_handoff_s =
-      (if !handoff_transfers > 0 then
-         !handoff_seconds /. float_of_int !handoff_transfers
-       else 0.);
-  }
-
-let run ?calib (t : t) model requests =
-  if not (Span.enabled ()) then run_fleet ?calib t model requests
-  else
-    Span.with_span "fleet.run"
-      ~attrs:
-        [ ("pools", Span.Int (List.length t.pools));
-          ( "groups",
-            Span.Int (List.fold_left (fun acc p -> acc + p.count) 0 t.pools) );
-          ("routing", Span.Str (routing_to_string t.routing));
-          ("disaggregated", Span.Str (string_of_bool (disaggregated t)));
-          ("requests", Span.Int (List.length requests)) ]
-      (fun () ->
-        let s = run_fleet ?calib t model requests in
-        Span.add_attr "generated_tokens" (Span.Int s.generated_tokens);
-        Span.add_attr "makespan_s" (Span.Float s.makespan_s);
-        s)
-
-(* --- the streaming fleet run ---
-
-   Bounded-memory, domain-parallel execution for traces far too large to
-   materialize. The router thread alternates two phases in rounds of
-   [epoch] requests:
-
-   - routing: pull the next [epoch] requests off the stream and submit
-     them (sequentially, in arrival order - submission order is the FCFS
+   - routing: pull the round's requests off the stream and submit them
+     (sequentially, in arrival order - submission order is the FCFS
      contract);
    - stepping: advance every node in parallel to the arrival time of the
      first request of the next round (each node is an independent
-     scheduler between routing decisions), then fold each node's freshly
-     finished outcomes - delivered through instance sinks into per-node
-     buffers - into online accumulators, walking nodes in fixed array
-     order.
+     scheduler between routing decisions), or drain them all after the
+     last round, then fold each node's freshly finished outcomes -
+     delivered through instance sinks into per-node buffers - walking
+     nodes in fixed array order.
+
+   The mode sets the round size, what the router sees and what is kept:
+
+   - [Streamed epoch]: rounds of [epoch] requests; routing signals are as
+     of the last round boundary; outcomes fold into online sketches, so
+     peak memory is O(groups * (resident batch + backlog) + epoch +
+     sketch), independent of trace length.
+   - [Exact]: the whole trace is one round, and every candidate is
+     advanced to each arrival before the router chooses. Per-instance
+     schedules depend only on the submitted set and order, so deferring
+     the remaining stepping to the drain is equivalent to a synchronous
+     co-simulation (and a 1-group fleet reproduces {!Simulator.run}
+     exactly). Merged outcomes and rejects are kept, and percentiles are
+     exact.
 
    Determinism: node executions depend only on their submitted sets (the
    router fixes those before any parallel work), and the merge walks
    nodes in array order on the calling domain, so every accumulated
    float sees the same operands in the same order whatever the job
-   count - 1-job and N-job runs are bit-identical. Peak memory is
-   O(groups * (resident batch + backlog) + epoch + sketch), independent
-   of trace length. *)
+   count - 1-job and N-job runs are bit-identical. *)
 
-type stream_acc = {
+type mode = Exact | Streamed of int
+
+(* What the merge folds outcomes into: counters always; the outcome and
+   reject lists when [keep] (exact mode); otherwise online sketches and
+   SLO hits. *)
+type acc = {
+  keep : bool;
   acc_ttft : Stats.Online.t;
   acc_tbt : Stats.Online.t;
   mutable acc_completed : int;
@@ -546,18 +288,33 @@ type stream_acc = {
   mutable acc_rejected : int;
   mutable acc_slo_ok : int;
   slo : (float * float) option;
+  mutable acc_outcomes : Simulator.request_outcome list;
+  mutable acc_rejects : Trace.request list;
 }
 
-let note_outcome acc ~(orig : Trace.request) ~ttft ~tbt =
+(* [o] is one completed original request (disaggregated halves already
+   merged). *)
+let note_outcome acc (o : Simulator.request_outcome) =
+  let orig = o.Simulator.request in
   acc.acc_completed <- acc.acc_completed + 1;
   acc.acc_generated <- acc.acc_generated + orig.Trace.output_len;
-  Stats.Online.add acc.acc_ttft ttft;
-  if tbt > 0. then Stats.Online.add acc.acc_tbt tbt;
-  match acc.slo with
-  | Some (slo_ttft, slo_tbt) ->
-      if ttft <= slo_ttft && (orig.Trace.output_len <= 1 || tbt <= slo_tbt)
-      then acc.acc_slo_ok <- acc.acc_slo_ok + 1
-  | None -> ()
+  if acc.keep then acc.acc_outcomes <- o :: acc.acc_outcomes
+  else begin
+    Stats.Online.add acc.acc_ttft o.Simulator.ttft_s;
+    if o.Simulator.tbt_s > 0. then
+      Stats.Online.add acc.acc_tbt o.Simulator.tbt_s;
+    match acc.slo with
+    | Some (slo_ttft, slo_tbt) ->
+        if
+          o.Simulator.ttft_s <= slo_ttft
+          && (orig.Trace.output_len <= 1 || o.Simulator.tbt_s <= slo_tbt)
+        then acc.acc_slo_ok <- acc.acc_slo_ok + 1
+    | None -> ()
+  end
+
+let note_reject acc (orig : Trace.request) =
+  acc.acc_rejected <- acc.acc_rejected + 1;
+  if acc.keep then acc.acc_rejects <- orig :: acc.acc_rejects
 
 (* Per-node capture buffers fed by the instance sinks. A sink runs on
    whichever domain steps its node and touches only that node's buffer;
@@ -584,16 +341,17 @@ let take_buffer buf =
   buf := [];
   l
 
-let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
-  if epoch < 1 then invalid_arg "Cluster.run_stream: epoch must be >= 1";
-  (match slo with
-  | Some (ttft, tbt) when ttft <= 0. || tbt <= 0. ->
-      invalid_arg "Cluster.run_stream: SLO objectives must be positive"
-  | _ -> ());
+let simulate ?calib ?slo ~mode (t : t) model stream =
+  let who, epoch, advance_to_arrival =
+    match mode with
+    | Exact -> ("Cluster.run", max_int, true)
+    | Streamed epoch -> ("Cluster.run_stream", epoch, false)
+  in
   let pools_nodes = make_nodes ?calib t model in
   let all_nodes = Array.concat (List.map snd pools_nodes) in
   let acc =
     {
+      keep = (mode = Exact);
       acc_ttft = Stats.Online.create ();
       acc_tbt = Stats.Online.create ();
       acc_completed = 0;
@@ -601,55 +359,75 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
       acc_rejected = 0;
       acc_slo_ok = 0;
       slo;
+      acc_outcomes = [];
+      acc_rejects = [];
     }
   in
   let handoff_transfers = ref 0 in
   let handoff_bytes = ref 0. in
   let handoff_seconds = ref 0. in
-  let pending = ref (Trace.next stream) in
+  (* Every request pulled is checked against the one before it: the FCFS
+     submission contract needs finite, nondecreasing arrivals (equal ones
+     are fine). *)
+  let last_arrival = ref neg_infinity in
+  let pull () =
+    match Trace.next stream with
+    | Some r as next ->
+        let a = r.Trace.arrival_s in
+        if not (Float.is_finite a && a >= !last_arrival) then
+          invalid_arg
+            (Printf.sprintf
+               "%s: request %d arrives at %g; arrivals must be finite and \
+                nondecreasing (the previous one was %g)"
+               who r.Trace.id a !last_arrival);
+        last_arrival := a;
+        next
+    | None -> None
+  in
+  let pending = ref (pull ()) in
   let first_arrival =
     match !pending with
-    | None -> invalid_arg "Cluster.run_stream: empty trace"
+    | None -> invalid_arg (who ^ ": empty trace")
     | Some r -> r.Trace.arrival_s
   in
-  (* Pull and submit up to [epoch] requests through [submit_one]; leaves
-     [pending] holding the first unsubmitted request (the next round's
-     horizon) or [None] at end of stream. *)
+  (* Pull and submit up to [epoch] requests through [submit_one], plus any
+     that tie with the last one's arrival; leaves [pending] holding the
+     first unsubmitted request (the next round's horizon, strictly later
+     than every submitted arrival) or [None] at end of stream. A horizon
+     equal to a submitted arrival would let a node jump to that instant
+     and start a prefill batch without the tied requests still
+     unsubmitted. *)
   let route_round submit_one =
-    let n = ref 0 in
+    let n = ref 0 and last = ref neg_infinity in
     let continue = ref true in
     while !continue do
       match !pending with
-      | Some r when !n < epoch ->
+      | Some r when !n < epoch || r.Trace.arrival_s = !last ->
           submit_one r;
           incr n;
-          pending := Trace.next stream
+          last := r.Trace.arrival_s;
+          pending := pull ()
       | _ -> continue := false
     done
+  in
+  (* Where a round's stepping stops: the next round's first arrival, or
+     [infinity] - drain - at end of stream. *)
+  let horizon () =
+    match !pending with Some r -> r.Trace.arrival_s | None -> infinity
   in
   if not (disaggregated t) then begin
     let captures = attach_captures all_nodes in
     let router = { nodes = all_nodes; routing = t.routing; cursor = 0 } in
     let merge_round () =
-      Array.iteri
-        (fun i _nd ->
-          List.iter
-            (fun (o : Simulator.request_outcome) ->
-              note_outcome acc ~orig:o.Simulator.request
-                ~ttft:o.Simulator.ttft_s ~tbt:o.Simulator.tbt_s)
-            (take_buffer captures.(i).c_out);
-          List.iter
-            (fun (_ : Trace.request) ->
-              acc.acc_rejected <- acc.acc_rejected + 1)
-            (take_buffer captures.(i).c_rej))
-        all_nodes
+      Array.iter
+        (fun c ->
+          List.iter (note_outcome acc) (take_buffer c.c_out);
+          List.iter (note_reject acc) (take_buffer c.c_rej))
+        captures
     in
     while !pending <> None do
-      route_round (fun r ->
-          dispatch ~advance_to_arrival:false router ~prefilled:false r);
-      (match !pending with
-      | Some next -> advance_nodes all_nodes next.Trace.arrival_s
-      | None -> drain_nodes all_nodes);
+      route_round (dispatch ~advance_to_arrival router ~prefilled:false);
+      step_nodes all_nodes (horizon ());
       merge_round ()
     done
   end
@@ -657,20 +435,16 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
     let bw = handoff_bytes_per_s t in
     if (not (Float.is_finite bw)) || bw <= 0. then
       invalid_arg
-        "Cluster.run_stream: fleet has no positive interconnect bandwidth \
-         for the KV handoff; pass ~handoff_gb_s";
-    let p_nodes =
+        (who
+       ^ ": fleet has no positive interconnect bandwidth for the KV \
+          handoff; pass ~handoff_gb_s");
+    let nodes_of_role want =
       Array.concat
         (List.filter_map
-           (fun (p, nds) -> if p.role = Prefill then Some nds else None)
+           (fun (p, nds) -> if p.role = want then Some nds else None)
            pools_nodes)
     in
-    let d_nodes =
-      Array.concat
-        (List.filter_map
-           (fun (p, nds) -> if p.role = Decode then Some nds else None)
-           pools_nodes)
-    in
+    let p_nodes = nodes_of_role Prefill and d_nodes = nodes_of_role Decode in
     let p_captures = attach_captures p_nodes in
     let d_captures = attach_captures d_nodes in
     let p_router = { nodes = p_nodes; routing = t.routing; cursor = 0 } in
@@ -685,28 +459,33 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
       Hashtbl.create 1024
     in
     (* Completed prefills waiting to re-arrive on the decode side, keyed
-       (arrival after transfer, id): the min-heap replaces the
-       sort-the-whole-phase step of the materialized path and holds only
-       in-flight handoffs. *)
+       (arrival after transfer, id); the min-heap holds only in-flight
+       handoffs. *)
     let ready : (float * int, Trace.request * float * float) Heap.t =
       Heap.create ~cmp:compare
     in
     let merge_prefill_round () =
-      Array.iteri
-        (fun i _nd ->
+      Array.iter
+        (fun c ->
           List.iter
             (fun (r : Trace.request) ->
-              Hashtbl.remove pending_prefill r.Trace.id;
-              acc.acc_rejected <- acc.acc_rejected + 1)
-            (take_buffer p_captures.(i).c_rej);
+              note_reject acc (Hashtbl.find pending_prefill r.Trace.id);
+              Hashtbl.remove pending_prefill r.Trace.id)
+            (take_buffer c.c_rej);
           List.iter
             (fun (o : Simulator.request_outcome) ->
               let id = o.Simulator.request.Trace.id in
               let orig = Hashtbl.find pending_prefill id in
               Hashtbl.remove pending_prefill id;
               if orig.Trace.output_len <= 1 then
-                note_outcome acc ~orig ~ttft:o.Simulator.ttft_s ~tbt:0.
+                (* Nothing left to decode: the prefill outcome is the
+                   whole request. *)
+                note_outcome acc { o with Simulator.request = orig }
               else begin
+                (* Ship the KV and re-arrive on the decode side after the
+                   transfer; the one prefill token is already in the
+                   context, so the decode sub-request carries the
+                   remaining output. *)
                 let bytes =
                   handoff_kv_bytes model ~input_len:orig.Trace.input_len
                 in
@@ -720,34 +499,42 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
                   (o.Simulator.finish_s +. transfer, id)
                   (orig, o.Simulator.ttft_s, o.Simulator.finish_s)
               end)
-            (take_buffer p_captures.(i).c_out))
-        p_nodes
+            (take_buffer c.c_out))
+        p_captures
     in
     let merge_decode_round () =
-      Array.iteri
-        (fun i _nd ->
+      Array.iter
+        (fun c ->
           List.iter
             (fun (r : Trace.request) ->
+              let orig, _, _ = Hashtbl.find pending_decode r.Trace.id in
               Hashtbl.remove pending_decode r.Trace.id;
-              acc.acc_rejected <- acc.acc_rejected + 1)
-            (take_buffer d_captures.(i).c_rej);
+              note_reject acc orig)
+            (take_buffer c.c_rej);
           List.iter
             (fun (o : Simulator.request_outcome) ->
               let id = o.Simulator.request.Trace.id in
               let orig, p_ttft, p_finish = Hashtbl.find pending_decode id in
               Hashtbl.remove pending_decode id;
-              let rest = orig.Trace.output_len - 1 in
-              note_outcome acc ~orig ~ttft:p_ttft
-                ~tbt:
-                  ((o.Simulator.finish_s -. p_finish) /. float_of_int rest))
-            (take_buffer d_captures.(i).c_out))
-        d_nodes
+              (* First token came off the prefill side; everything after
+                 it - transfer, decode queueing, decode steps - spreads
+                 over the remaining tokens. *)
+              note_outcome acc
+                {
+                  Simulator.request = orig;
+                  ttft_s = p_ttft;
+                  tbt_s =
+                    (o.Simulator.finish_s -. p_finish)
+                    /. float_of_int (orig.Trace.output_len - 1);
+                  finish_s = o.Simulator.finish_s;
+                })
+            (take_buffer c.c_out))
+        d_captures
     in
     (* Dispatch every completed handoff that can no longer be preceded:
        once all prefill nodes have advanced to [watermark], any future
        completion finishes strictly after it, so heap entries at or below
-       the watermark are final and pop in global (arrival, id) order -
-       exactly the sorted dispatch order of the materialized path. *)
+       the watermark are final and pop in global (arrival, id) order. *)
     let dispatch_ready watermark =
       let continue = ref true in
       while !continue do
@@ -756,7 +543,7 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
             match Heap.pop ready with
             | Some ((arr, id), (orig, p_ttft, p_finish)) ->
                 Hashtbl.replace pending_decode id (orig, p_ttft, p_finish);
-                dispatch ~advance_to_arrival:false d_router ~prefilled:true
+                dispatch ~advance_to_arrival d_router ~prefilled:true
                   {
                     orig with
                     Trace.arrival_s = arr;
@@ -772,29 +559,21 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
           if Hashtbl.mem pending_prefill r.Trace.id then
             invalid_arg
               (Printf.sprintf
-                 "Cluster.run_stream: duplicate request id %d (ids key the \
-                  prefill-to-decode handoff match)"
-                 r.Trace.id);
+                 "%s: duplicate request id %d (ids key the prefill-to-decode \
+                  handoff match)"
+                 who r.Trace.id);
           Hashtbl.replace pending_prefill r.Trace.id r;
-          dispatch ~advance_to_arrival:false p_router ~prefilled:false
+          dispatch ~advance_to_arrival p_router ~prefilled:false
             { r with Trace.output_len = 1 });
-      match !pending with
-      | Some next ->
-          let horizon = next.Trace.arrival_s in
-          advance_nodes p_nodes horizon;
-          merge_prefill_round ();
-          dispatch_ready horizon;
-          advance_nodes d_nodes horizon;
-          merge_decode_round ()
-      | None ->
-          drain_nodes p_nodes;
-          merge_prefill_round ();
-          dispatch_ready infinity;
-          drain_nodes d_nodes;
-          merge_decode_round ()
+      let horizon = horizon () in
+      step_nodes p_nodes horizon;
+      merge_prefill_round ();
+      dispatch_ready horizon;
+      step_nodes d_nodes horizon;
+      merge_decode_round ()
     done
   end;
-  (* --- aggregate (from counters and sketches only) --- *)
+  (* --- aggregate --- *)
   let stats_by_pool =
     List.map
       (fun (p, nds) ->
@@ -844,22 +623,51 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
   let produced_tokens =
     List.fold_left (fun a ps -> a + ps.pool_produced_tokens) 0 pools
   in
-  let q sketch p =
-    if Stats.Online.count sketch = 0 then 0. else Stats.Online.quantile sketch p
+  let outcomes, rejected, ttft_q, tbt_q =
+    if acc.keep then
+      let outcomes =
+        List.sort
+          (fun (a : Simulator.request_outcome) (b : Simulator.request_outcome)
+             ->
+            compare
+              (a.Simulator.finish_s, a.Simulator.request.Trace.id)
+              (b.Simulator.finish_s, b.Simulator.request.Trace.id))
+          acc.acc_outcomes
+      in
+      (* Interpolated percentiles over the outcomes [f] selects; 0 when it
+         selects none. *)
+      let exact f p =
+        Stats.percentile p
+          (match List.filter_map f outcomes with [] -> [ 0. ] | xs -> xs)
+      in
+      ( outcomes,
+        List.sort
+          (fun (a : Trace.request) (b : Trace.request) ->
+            compare
+              (a.Trace.arrival_s, a.Trace.id)
+              (b.Trace.arrival_s, b.Trace.id))
+          acc.acc_rejects,
+        exact (fun o -> Some o.Simulator.ttft_s),
+        exact (fun o ->
+            if o.Simulator.tbt_s > 0. then Some o.Simulator.tbt_s else None) )
+    else
+      let q sketch p =
+        if Stats.Online.count sketch = 0 then 0.
+        else Stats.Online.quantile sketch p
+      in
+      ([], [], q acc.acc_ttft, q acc.acc_tbt)
   in
   {
-    outcomes = [];
-    rejected = [];
+    outcomes;
+    rejected;
     completed = acc.acc_completed;
     rejected_count = acc.acc_rejected;
     slo_attained =
-      (match slo with
-      | None -> None
-      | Some _ ->
-          Some
-            (if acc.acc_completed = 0 then 1.
-             else
-               float_of_int acc.acc_slo_ok /. float_of_int acc.acc_completed));
+      Option.map
+        (fun _ ->
+          if acc.acc_completed = 0 then 1.
+          else float_of_int acc.acc_slo_ok /. float_of_int acc.acc_completed)
+        slo;
     pools;
     groups = Array.length all_nodes;
     makespan_s;
@@ -870,10 +678,10 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
       (if span > 0. then float_of_int acc.acc_generated /. span else 0.);
     requests_per_s =
       (if span > 0. then float_of_int acc.acc_completed /. span else 0.);
-    p50_ttft_s = q acc.acc_ttft 50.;
-    p95_ttft_s = q acc.acc_ttft 95.;
-    p50_tbt_s = q acc.acc_tbt 50.;
-    p95_tbt_s = q acc.acc_tbt 95.;
+    p50_ttft_s = ttft_q 50.;
+    p95_ttft_s = ttft_q 95.;
+    p50_tbt_s = tbt_q 50.;
+    p95_tbt_s = tbt_q 95.;
     handoff_transfers = !handoff_transfers;
     handoff_bytes = !handoff_bytes;
     mean_handoff_s =
@@ -881,6 +689,47 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
          !handoff_seconds /. float_of_int !handoff_transfers
        else 0.);
   }
+
+let run ?calib (t : t) model requests =
+  let go () =
+    if requests = [] then invalid_arg "Cluster.run: empty trace";
+    let ids = Hashtbl.create (List.length requests) in
+    List.iter
+      (fun (r : Trace.request) ->
+        if Hashtbl.mem ids r.Trace.id then
+          invalid_arg
+            (Printf.sprintf
+               "Cluster.run: duplicate request id %d (ids key the \
+                prefill-to-decode handoff match)"
+               r.Trace.id);
+        Hashtbl.add ids r.Trace.id ())
+      requests;
+    simulate ?calib ~mode:Exact t model
+      (Trace.of_list (List.stable_sort by_arrival requests))
+  in
+  if not (Span.enabled ()) then go ()
+  else
+    Span.with_span "fleet.run"
+      ~attrs:
+        [ ("pools", Span.Int (List.length t.pools));
+          ( "groups",
+            Span.Int (List.fold_left (fun acc p -> acc + p.count) 0 t.pools) );
+          ("routing", Span.Str (routing_to_string t.routing));
+          ("disaggregated", Span.Str (string_of_bool (disaggregated t)));
+          ("requests", Span.Int (List.length requests)) ]
+      (fun () ->
+        let s = go () in
+        Span.add_attr "generated_tokens" (Span.Int s.generated_tokens);
+        Span.add_attr "makespan_s" (Span.Float s.makespan_s);
+        s)
+
+let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
+  if epoch < 1 then invalid_arg "Cluster.run_stream: epoch must be >= 1";
+  (match slo with
+  | Some (ttft, tbt) when ttft <= 0. || tbt <= 0. ->
+      invalid_arg "Cluster.run_stream: SLO objectives must be positive"
+  | _ -> ());
+  simulate ?calib ?slo ~mode:(Streamed epoch) t model stream
 
 let slo_attainment fs ~ttft_s ~tbt_s =
   if ttft_s <= 0. || tbt_s <= 0. then

@@ -13,13 +13,14 @@
     is shipped across the interconnect, and decode continues on the
     other).
 
-    Requests are dispatched in arrival order by a routing policy. Because
-    each instance's schedule depends only on the set and order of
-    requests submitted to it, routing in global arrival order while
-    advancing candidate instances to the arrival time yields the same
-    result as a fully synchronous co-simulation - and a 1-group unified
-    fleet reproduces a bare {!Simulator.run} bit for bit (the property
-    suite holds it to account).
+    Requests are dispatched in arrival order by a routing policy. {!run}
+    and {!run_stream} are two modes of one routing loop. Because each
+    instance's schedule depends only on the set and order of requests
+    submitted to it, routing in global arrival order while advancing
+    candidate instances to the arrival time ({!run}) yields the same
+    result as a fully synchronous co-simulation - and a 1-group fleet
+    reproduces a bare {!Simulator.run} bit for bit in either mode (the
+    fleet suite's property holds it to account).
 
     Disaggregated handoff is modeled as a transfer delay: when a
     request's prefill finishes, its full-model KV cache (input plus the
@@ -78,8 +79,8 @@ val pool :
 
 val make : ?routing:routing -> ?handoff_gb_s:float -> pool list -> t
 (** Validates the fleet shape: at least one pool, unique pool names,
-    positive [handoff_gb_s], and roles either all [Unified] or a mix of
-    [Prefill] and [Decode] with both sides present (raises
+    finite positive [handoff_gb_s], and roles either all [Unified] or a
+    mix of [Prefill] and [Decode] with both sides present (raises
     [Invalid_argument] otherwise). Default routing is [Least_loaded]. *)
 
 val disaggregated : t -> bool
@@ -92,8 +93,11 @@ type pool_stats = {
   pool_role : role;
   pool_count : int;
   per_group : Simulator.stats array;
-      (** one entry per group, in routing-index order; a 1-group unified
-          fleet's single entry equals the bare {!Simulator.run} result *)
+      (** one entry per group, in routing-index order. Counters and clocks
+          only: groups deliver outcomes to the fleet as they finish, so
+          each entry's [outcomes]/[rejected] are empty and its percentile
+          fields 0 (the fleet-level fields carry them). A 1-group fleet's
+          single entry is otherwise the bare {!Simulator.run} result. *)
   pool_completed : int;
   pool_rejected : int;
   pool_produced_tokens : int;
@@ -118,9 +122,10 @@ type fleet_stats = {
       (** original requests whose KV can never fit on any routed-to
           group (either side, for disaggregated fleets) *)
   completed : int;
-      (** completed originals. Equals [List.length outcomes] for {!run};
-          {!run_stream} keeps [outcomes = []] (bounded memory) and this
-          counter is the only completion count. *)
+      (** completed originals, counted in both modes. Equals
+          [List.length outcomes] for {!run}; {!run_stream} keeps
+          [outcomes = []] (bounded memory), so this counter is its only
+          completion count. *)
   rejected_count : int;  (** likewise for [rejected] *)
   slo_attained : float option;
       (** filled by {!run_stream} when its [?slo] was given: the fraction
@@ -156,12 +161,16 @@ val run :
   Acs_workload.Model.t ->
   Trace.request list ->
   fleet_stats
-(** Simulates the whole trace against the fleet. Raises
-    [Invalid_argument] on an empty trace or duplicate request ids (ids
-    key the prefill-to-decode match), and {!Simulator.Infeasible} when
-    any pool's weights alone exceed its device's HBM. Group drains shard
-    across the {!Acs_util.Parallel} domain pool; results are independent
-    of the job count. *)
+(** Simulates the whole trace against the fleet, exactly: the trace is
+    stably sorted by arrival and routed as one round of the loop
+    {!run_stream} uses, advancing every candidate group to each arrival
+    before the router chooses. The merged [outcomes] and [rejected] lists
+    are kept and the percentile fields are exact interpolated ones.
+    Raises [Invalid_argument] on an empty trace, duplicate request ids
+    (ids key the prefill-to-decode match) or a non-finite arrival, and
+    {!Simulator.Infeasible} when any pool's weights alone exceed its
+    device's HBM. Group drains shard across the {!Acs_util.Parallel}
+    domain pool; results are independent of the job count. *)
 
 val run_stream :
   ?calib:Acs_perfmodel.Calib.t ->
@@ -172,11 +181,12 @@ val run_stream :
   Trace.stream ->
   fleet_stats
 (** Domain-parallel, bounded-memory fleet simulation for traces too large
-    to materialize (consumes the stream destructively). The router
-    alternates routing rounds of [epoch] requests (default 512; must be
-    >= 1) with parallel advances of every group to the next round's first
-    arrival, merging freshly finished outcomes into
-    {!Acs_util.Stats.Online} accumulators in fixed group order - so
+    to materialize (consumes the stream destructively). The stream must
+    be in arrival order. The router alternates routing rounds of [epoch]
+    requests (default 512; must be >= 1; a round also takes any requests
+    tied with its last arrival) with parallel advances of every group to
+    the next round's first arrival, merging freshly finished outcomes
+    into {!Acs_util.Stats.Online} accumulators in fixed group order - so
     results are bit-identical across [ACS_JOBS] settings, and peak memory
     is O(groups * backlog + epoch + sketch), independent of trace length.
 
@@ -187,13 +197,13 @@ val run_stream :
     exact percentiles of {!run}), and [slo] (TTFT, TBT objectives in
     seconds) fills [slo_attained].
 
-    Routing differences against {!run}: [Round_robin] streamed reproduces
-    the materialized run exactly (same totals, steps and makespan);
+    Routing against {!run}: [Round_robin] and 1-group fleets reproduce
+    {!run} exactly (same totals, steps and makespan);
     [Least_loaded]/[Phase_affine] price candidates with signals as of the
-    last epoch boundary instead of advancing every group to each arrival,
-    so their (deterministic) decisions can differ from the materialized
-    router's. Raises like {!run}; also [Invalid_argument] on an SLO with
-    non-positive objectives. *)
+    last round boundary instead of advancing every group to each arrival,
+    so their (deterministic) decisions can differ from {!run}'s. Raises
+    like {!run}; also [Invalid_argument] on an SLO with non-positive
+    objectives and on an arrival earlier than the one before it. *)
 
 val slo_attainment : fleet_stats -> ttft_s:float -> tbt_s:float -> float
 (** Fraction of completed originals meeting both objectives, with the

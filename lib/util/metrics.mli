@@ -36,7 +36,9 @@ type 'a handle
 
 val handle : (unit -> 'a) -> 'a handle
 (** [handle (fun () -> counter "name")]. The function may run more than
-    once under a race, so it must only register (get-or-create). *)
+    once under a race, so it must be idempotent: for a metric, only
+    register (get-or-create). {!Parallel} caches its [ACS_JOBS] reading
+    the same way. *)
 
 val get : 'a handle -> 'a
 (** The metric, registering it on the first call. After that, an atomic

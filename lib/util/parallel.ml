@@ -10,11 +10,16 @@ let parse_jobs s =
   | Some _ | None ->
       invalid_arg "Parallel: ACS_JOBS must be a positive integer"
 
+(* A {!Metrics.handle}, not a [lazy]: two domains forcing a suspension
+   for the first time at once raise [CamlinternalLazy.Undefined], and
+   the daemon's worker domains can make their first {!jobs} calls
+   together. A failing read caches nothing, so an invalid ACS_JOBS
+   raises [Invalid_argument] on every call. *)
 let env_jobs =
-  lazy
-    (match Sys.getenv_opt "ACS_JOBS" with
-    | Some s -> parse_jobs s
-    | None -> max 1 (Domain.recommended_domain_count () - 1))
+  Metrics.handle (fun () ->
+      match Sys.getenv_opt "ACS_JOBS" with
+      | Some s -> parse_jobs s
+      | None -> max 1 (Domain.recommended_domain_count () - 1))
 
 (* [with_jobs] override. Domain-local state, not a shared ref: the
    documented contract is that the override is only visible to calls made
@@ -28,7 +33,7 @@ let forced_jobs : int option Domain.DLS.key =
 let jobs () =
   match Domain.DLS.get forced_jobs with
   | Some n -> n
-  | None -> Lazy.force env_jobs
+  | None -> Metrics.get env_jobs
 
 let with_jobs n f =
   if n < 1 then invalid_arg "Parallel.with_jobs: job count must be >= 1";

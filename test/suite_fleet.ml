@@ -32,21 +32,60 @@ let sum_groups fs f =
     (fun acc ps -> Array.fold_left (fun acc s -> acc + f s) acc ps.Fleet.per_group)
     0 fs.Fleet.pools
 
-(* Every fleet run must conserve requests and tokens against its own
-   per-group stats, and no group may overcommit its HBM. *)
+let sum_pools role fs f =
+  List.fold_left
+    (fun acc ps -> if ps.Fleet.pool_role = role then acc + f ps else acc)
+    0 fs.Fleet.pools
+
+(* Every fleet run must conserve requests and tokens: the fleet-level
+   outcome and reject lists against the pool counters, per-group produced
+   tokens against the fleet total; and no group may overcommit its
+   HBM. *)
 let check_fleet_invariants ~trace fs =
   let n_trace = List.length trace in
-  Alcotest.(check int)
-    "every request completes or is rejected" n_trace
-    (List.length fs.Fleet.outcomes + List.length fs.Fleet.rejected);
+  let completed = List.length fs.Fleet.outcomes in
+  let rejected = List.length fs.Fleet.rejected in
+  Alcotest.(check int) "every request completes or is rejected" n_trace
+    (completed + rejected);
+  Alcotest.(check int) "completed counter = outcome list" completed
+    fs.Fleet.completed;
+  Alcotest.(check int) "rejected counter = reject list" rejected
+    fs.Fleet.rejected_count;
   Alcotest.(check int)
     "produced tokens = sum of per-group produced"
     (sum_groups fs (fun s -> s.Simulator.produced_tokens))
     fs.Fleet.produced_tokens;
-  Alcotest.(check int)
-    "completed = sum of per-pool completed"
-    (List.fold_left (fun acc ps -> acc + ps.Fleet.pool_completed) 0 fs.Fleet.pools)
-    (sum_groups fs (fun s -> List.length s.Simulator.outcomes));
+  let pool_completed role = sum_pools role fs (fun ps -> ps.Fleet.pool_completed) in
+  let pool_rejected role = sum_pools role fs (fun ps -> ps.Fleet.pool_rejected) in
+  if not (List.exists (fun ps -> ps.Fleet.pool_role = Fleet.Prefill) fs.Fleet.pools)
+  then begin
+    Alcotest.(check int) "completed = sum of pool completed" completed
+      (pool_completed Fleet.Unified);
+    Alcotest.(check int) "rejected = sum of pool rejected" rejected
+      (pool_rejected Fleet.Unified)
+  end
+  else begin
+    (* Disaggregated: single-token requests finish on the prefill side;
+       every other prefill hands off once, and each handoff completes or
+       is rejected on the decode side. *)
+    let single =
+      List.length
+        (List.filter
+           (fun (o : Simulator.request_outcome) ->
+             o.Simulator.request.Trace.output_len <= 1)
+           fs.Fleet.outcomes)
+    in
+    Alcotest.(check int) "prefill completions = handoffs + single-token"
+      (fs.Fleet.handoff_transfers + single)
+      (pool_completed Fleet.Prefill);
+    Alcotest.(check int) "handoffs = decode completed + decode rejected"
+      fs.Fleet.handoff_transfers
+      (pool_completed Fleet.Decode + pool_rejected Fleet.Decode);
+    Alcotest.(check int) "decode completions = multi-token outcomes"
+      (completed - single) (pool_completed Fleet.Decode);
+    Alcotest.(check int) "rejected = prefill + decode rejects" rejected
+      (pool_rejected Fleet.Prefill + pool_rejected Fleet.Decode)
+  end;
   List.iter
     (fun ps ->
       Array.iter
@@ -70,24 +109,120 @@ let check_fleet_invariants ~trace fs =
   List.iter (fun (r : Trace.request) -> Hashtbl.replace seen r.Trace.id ()) fs.Fleet.rejected;
   Alcotest.(check int) "no request lost or duplicated" n_trace (Hashtbl.length seen)
 
-let t_single_group_identity () =
-  (* The acceptance bar: a 1-group unified fleet is the bare simulator,
-     bit for bit - same outcomes, same clocks, same peaks. *)
-  let fs = Fleet.run (unified ~count:1 ()) model small_trace in
-  let solo = Simulator.run dev model small_trace in
-  match fs.Fleet.pools with
-  | [ ps ] ->
-      Alcotest.(check int) "one group" 1 (Array.length ps.Fleet.per_group);
-      Alcotest.(check bool)
-        "1-group fleet stats = Simulator.run stats" true
-        (ps.Fleet.per_group.(0) = solo);
-      Alcotest.(check int)
-        "fleet outcome count matches" (List.length solo.Simulator.outcomes)
-        (List.length fs.Fleet.outcomes);
-      check_close "fleet generated = solo generated"
-        (float_of_int solo.Simulator.generated_tokens)
-        (float_of_int fs.Fleet.generated_tokens)
-  | _ -> Alcotest.fail "expected exactly one pool"
+let routing_of = function
+  | 0 -> Fleet.Round_robin
+  | 1 -> Fleet.Least_loaded
+  | _ -> Fleet.Phase_affine
+
+(* The acceptance bar, as a property: a 1-group fleet is the bare
+   simulator. [Fleet.run] reproduces [Simulator.run] bit for bit (sorted
+   outcomes, rejects, percentiles), and its one group's stats are the solo
+   stats with the lists emptied and the percentiles zeroed - fleet groups
+   deliver outcomes through sinks. [run_stream] at any epoch keeps the
+   same counters, makespan and group stats. Traces are arrival-ordered,
+   with equal arrivals, single-token requests and, one in eight,
+   requests whose KV never fits. *)
+let t_single_group_identity =
+  let request =
+    QCheck.Gen.(
+      quad
+        (frequency [ (1, return 0.); (4, float_range 0. 0.5) ])
+        (int_range 8 512) (int_range 1 64) (int_range 0 7))
+  in
+  let gen =
+    QCheck.make
+      ~print:(fun (reqs, decode_fair, fine, routing) ->
+        Printf.sprintf "%d requests, decode_fair=%b bucket=%d routing=%d"
+          (List.length reqs) decode_fair
+          (if fine then 1 else 64)
+          routing)
+      QCheck.Gen.(
+        quad (list_size (int_range 1 30) request) bool bool (int_range 0 2))
+  in
+  qcheck ~count:30 "1-group fleet = bare simulator" gen
+    (fun (reqs, decode_fair, fine, routing) ->
+      let clock = ref 0. in
+      let trace =
+        List.mapi
+          (fun id (gap, input_len, output_len, kind) ->
+            clock := !clock +. gap;
+            let input_len = if kind = 0 then 1 lsl 22 else input_len in
+            { Trace.id; arrival_s = !clock; input_len; output_len })
+          reqs
+      in
+      let config =
+        {
+          Simulator.default_config with
+          Simulator.policy =
+            (if decode_fair then Simulator.Decode_fair
+             else Simulator.Prefill_priority);
+          context_bucket = (if fine then 1 else 64);
+        }
+      in
+      let fleet =
+        Fleet.make ~routing:(routing_of routing) [ Fleet.pool ~config ~count:1 dev ]
+      in
+      let solo = Simulator.run ~config dev model trace in
+      let group =
+        {
+          solo with
+          Simulator.outcomes = [];
+          rejected = [];
+          p50_ttft_s = 0.;
+          p95_ttft_s = 0.;
+          p50_tbt_s = 0.;
+          p95_tbt_s = 0.;
+        }
+      in
+      let bits = Int64.bits_of_float in
+      let key (o : Simulator.request_outcome) =
+        ( o.Simulator.request.Trace.id,
+          bits o.Simulator.ttft_s,
+          bits o.Simulator.tbt_s,
+          bits o.Simulator.finish_s )
+      in
+      let by_finish =
+        List.sort (fun a b ->
+            compare
+              (a.Simulator.finish_s, a.Simulator.request.Trace.id)
+              (b.Simulator.finish_s, b.Simulator.request.Trace.id))
+      in
+      let check_group what fs =
+        match fs.Fleet.pools with
+        | [ { Fleet.per_group = [| s |]; _ } ] ->
+            Alcotest.(check bool) (what ^ ": group stats = solo stats") true
+              (s = group)
+        | _ -> Alcotest.failf "%s: expected one pool of one group" what
+      in
+      let fs = Fleet.run fleet model trace in
+      Alcotest.(check bool) "outcomes bit-identical" true
+        (List.map key fs.Fleet.outcomes
+        = List.map key (by_finish solo.Simulator.outcomes));
+      Alcotest.(check bool) "rejects identical" true
+        (fs.Fleet.rejected = solo.Simulator.rejected);
+      Alcotest.(check bool) "percentiles bit-identical" true
+        (List.map bits
+           [ fs.Fleet.p50_ttft_s; fs.Fleet.p95_ttft_s; fs.Fleet.p50_tbt_s;
+             fs.Fleet.p95_tbt_s ]
+        = List.map bits
+            [ solo.Simulator.p50_ttft_s; solo.Simulator.p95_ttft_s;
+              solo.Simulator.p50_tbt_s; solo.Simulator.p95_tbt_s ]);
+      check_group "run" fs;
+      List.iter
+        (fun epoch ->
+          let what = Printf.sprintf "run_stream epoch %d" epoch in
+          let st = Fleet.run_stream ~epoch fleet model (Trace.of_list trace) in
+          Alcotest.(check (list int)) (what ^ ": counters")
+            [ List.length solo.Simulator.outcomes;
+              List.length solo.Simulator.rejected;
+              solo.Simulator.generated_tokens; solo.Simulator.produced_tokens ]
+            [ st.Fleet.completed; st.Fleet.rejected_count;
+              st.Fleet.generated_tokens; st.Fleet.produced_tokens ];
+          Alcotest.(check bool) (what ^ ": makespan") true
+            (bits st.Fleet.makespan_s = bits solo.Simulator.makespan_s);
+          check_group what st)
+        [ 1; 7; 512 ];
+      true)
 
 let t_unified_conservation () =
   let fs = Fleet.run (unified ()) model heavy_trace in
@@ -120,19 +255,19 @@ let t_heterogeneous_conservation () =
     fs.Fleet.pools
 
 let t_round_robin_balances () =
-  let fs = Fleet.run (unified ~routing:Fleet.Round_robin ()) model heavy_trace in
-  match fs.Fleet.pools with
-  | [ ps ] ->
-      let counts =
-        Array.map
-          (fun s ->
-            List.length s.Simulator.outcomes + List.length s.Simulator.rejected)
-          ps.Fleet.per_group
-      in
-      let diff = abs (counts.(0) - counts.(1)) in
-      if diff > 1 then
-        Alcotest.failf "round-robin split %d/%d" counts.(0) counts.(1)
-  | _ -> Alcotest.fail "expected one pool"
+  (* Two single-group pools, so the pool counters are per-group counts. *)
+  let fleet =
+    Fleet.make ~routing:Fleet.Round_robin
+      [ Fleet.pool ~name:"a" ~count:1 dev; Fleet.pool ~name:"b" ~count:1 dev ]
+  in
+  let fs = Fleet.run fleet model heavy_trace in
+  match
+    List.map (fun ps -> ps.Fleet.pool_completed + ps.Fleet.pool_rejected) fs.Fleet.pools
+  with
+  | [ a; b ] ->
+      Alcotest.(check int) "every request routed" (List.length heavy_trace) (a + b);
+      if abs (a - b) > 1 then Alcotest.failf "round-robin split %d/%d" a b
+  | _ -> Alcotest.fail "expected two pools"
 
 let t_disaggregated_conservation () =
   let fs = Fleet.run (disagg ()) model heavy_trace in
@@ -198,8 +333,13 @@ let t_fleet_validation () =
              Fleet.pool ~role:Fleet.Prefill ~count:1 dev;
              Fleet.pool ~role:Fleet.Decode ~count:1 dev;
            ]));
-  check_raises_invalid "non-positive handoff bandwidth" (fun () ->
-      ignore (Fleet.make ~handoff_gb_s:0. [ Fleet.pool ~count:1 dev ]));
+  (* [b <= 0.] alone would let nan and infinity through. *)
+  List.iter
+    (fun b ->
+      check_raises_invalid
+        (Printf.sprintf "handoff bandwidth %g" b)
+        (fun () -> ignore (Fleet.make ~handoff_gb_s:b [ Fleet.pool ~count:1 dev ])))
+    [ 0.; -1.; Float.nan; infinity ];
   check_raises_invalid "empty trace" (fun () ->
       ignore (Fleet.run (unified ()) model []));
   check_raises_invalid "duplicate request ids" (fun () ->
@@ -283,12 +423,7 @@ let t_fleet_properties =
   in
   qcheck ~count:10 "fleet invariants hold over random fleets" gen
     (fun (count, routing, disaggregated, seed) ->
-      let routing =
-        match routing with
-        | 0 -> Fleet.Round_robin
-        | 1 -> Fleet.Least_loaded
-        | _ -> Fleet.Phase_affine
-      in
+      let routing = routing_of routing in
       let fleet =
         if disaggregated then
           Fleet.make ~routing
@@ -351,22 +486,19 @@ let t_stream_equals_run_round_robin () =
     [ unified ~routing:Fleet.Round_robin (); disagg ~routing:Fleet.Round_robin () ]
 
 let t_stream_single_group_identity () =
-  (* 1-group streamed fleet vs the bare simulator: same counters, steps
-     and makespan, with the percentile fields within the online sketch's
-     1% relative error of the exact ones. *)
+  (* 1-group streamed fleet vs the bare simulator. Counters, makespan and
+     group stats are exact (the 1-group property checks them at several
+     epochs); the percentiles come from online sketches - nearest-rank
+     within 1% vs the exact interpolated ones, so they differ by at most
+     one order statistic; on this small sample 20% head-room is ample
+     without being vacuous. *)
   let solo = Simulator.run dev model small_trace in
   let fs =
     Fleet.run_stream (unified ~count:1 ()) model (Trace.of_list small_trace)
   in
   Alcotest.(check int) "completed" (List.length solo.Simulator.outcomes)
     fs.Fleet.completed;
-  Alcotest.(check int) "generated" solo.Simulator.generated_tokens
-    fs.Fleet.generated_tokens;
-  Alcotest.(check int) "produced" solo.Simulator.produced_tokens
-    fs.Fleet.produced_tokens;
   check_close "makespan" solo.Simulator.makespan_s fs.Fleet.makespan_s;
-  (* nearest-rank vs interpolated differ by at most one order statistic;
-     on these small samples 20% head-room is ample without being vacuous *)
   check_within "p50 ttft" ~tolerance:0.2 solo.Simulator.p50_ttft_s
     fs.Fleet.p50_ttft_s;
   check_within "p50 tbt" ~tolerance:0.2 solo.Simulator.p50_tbt_s
@@ -399,7 +531,24 @@ let t_stream_validation () =
            (Trace.of_list small_trace)));
   check_raises_invalid "duplicate ids in stream" (fun () ->
       let r = { Trace.id = 1; arrival_s = 0.; input_len = 64; output_len = 8 } in
-      ignore (Fleet.run_stream (disagg ()) model (Trace.of_list [ r; r ])))
+      ignore (Fleet.run_stream (disagg ()) model (Trace.of_list [ r; r ])));
+  (* Submission is FCFS: an out-of-order or non-finite arrival must
+     raise, not be simulated. Equal arrivals are legal (the 1-group
+     property streams them). *)
+  check_raises_invalid "reversed stream" (fun () ->
+      ignore
+        (Fleet.run_stream
+           (unified ~routing:Fleet.Round_robin ())
+           model
+           (Trace.of_list (List.rev heavy_trace))));
+  check_raises_invalid "nan arrival" (fun () ->
+      ignore
+        (Fleet.run_stream (unified ()) model
+           (Trace.of_list
+              (List.mapi
+                 (fun i (r : Trace.request) ->
+                   if i = 3 then { r with Trace.arrival_s = Float.nan } else r)
+                 small_trace))))
 
 (* The acceptance bar for the parallel engine: the merged stats are
    bit-identical whether the groups step on 1 domain or 4, over random
@@ -416,12 +565,7 @@ let t_stream_jobs_identity =
   in
   qcheck ~count:10 "streamed fleet is job-count independent" gen
     (fun (count, routing, disaggregated, epoch, seed) ->
-      let routing =
-        match routing with
-        | 0 -> Fleet.Round_robin
-        | 1 -> Fleet.Least_loaded
-        | _ -> Fleet.Phase_affine
-      in
+      let routing = routing_of routing in
       let fleet =
         if disaggregated then
           Fleet.make ~routing
@@ -464,7 +608,7 @@ let t_devices_for_qps_nonfinite () =
 
 let suite =
   [
-    test "1-group fleet = bare simulator" t_single_group_identity;
+    t_single_group_identity;
     test "unified fleet conserves tokens" t_unified_conservation;
     test "heterogeneous fleet conserves tokens" t_heterogeneous_conservation;
     test "round-robin balances requests" t_round_robin_balances;
