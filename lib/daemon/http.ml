@@ -106,12 +106,22 @@ let read_to_eof r =
 
 (* --- shared header machinery --- *)
 
+(* [read_line] caps each line; these cap the section, so a peer cannot
+   grow the header list without bound. *)
+let max_header_lines = 100
+let max_header_bytes = 64 * 1024
+
 let read_headers r =
-  let rec go acc =
+  let rec go acc lines bytes =
     match read_line r with
     | None -> bad "unexpected EOF in headers"
     | Some "" -> List.rev acc
     | Some line -> (
+        let lines = lines + 1 and bytes = bytes + String.length line in
+        if lines > max_header_lines then
+          bad "more than %d header lines" max_header_lines;
+        if bytes > max_header_bytes then
+          bad "header section over %d bytes" max_header_bytes;
         match String.index_opt line ':' with
         | None -> bad "malformed header line %S" line
         | Some i ->
@@ -119,9 +129,9 @@ let read_headers r =
             let value =
               String.trim (String.sub line (i + 1) (String.length line - i - 1))
             in
-            go ((name, value) :: acc))
+            go ((name, value) :: acc) lines bytes)
   in
-  go []
+  go [] 0 0
 
 let lookup headers name = List.assoc_opt (String.lowercase_ascii name) headers
 

@@ -32,8 +32,9 @@ type request = {
 
 val read_request : reader -> request option
 (** [None] on a clean EOF before any byte of a request (client closed an
-    idle connection). Raises {!Bad_request} on framing errors and bodies
-    over 8 MB, [Unix.Unix_error] on transport failures. *)
+    idle connection). Raises {!Bad_request} on framing errors, header
+    lines over 16 KiB, header sections over 100 lines or 64 KiB, and
+    bodies over 8 MB; [Unix.Unix_error] on transport failures. *)
 
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)

@@ -66,8 +66,9 @@ let split_batch n pts =
 (* One job: enumerate the scenario's points once, then per batch - check
    the cancel flag, classify each point's provenance (memo hit / disk
    promotion / cold), evaluate through the shared [Eval] cache and the
-   [Parallel] pool, write cold results through to the disk tier, and emit
-   a progress event. The provenance classification is what the warm-cache
+   [Parallel] pool, write the cold results - only those - through to the
+   disk tier, and emit a progress event. A job the memo answers touches
+   no file. The provenance classification is what the warm-cache
    acceptance rate is measured from. *)
 let run_job t (job : Jobq.job) =
   let sc = job.scenario in
@@ -94,16 +95,24 @@ let run_job t (job : Jobq.job) =
           cancelled := true
       | pts ->
           let batch, rest = split_batch t.cfg.batch pts in
-          List.iter
-            (fun p ->
-              if Eval.probe sc p then job.memo_hits <- job.memo_hits + 1
-              else
-                match Option.bind disk (fun d -> Disk_cache.find d p) with
-                | Some design ->
-                    Eval.seed sc p design;
-                    job.disk_hits <- job.disk_hits + 1
-                | None -> job.cold <- job.cold + 1)
-            batch;
+          let tagged =
+            List.map
+              (fun p ->
+                if Eval.probe sc p then begin
+                  job.memo_hits <- job.memo_hits + 1;
+                  (p, false)
+                end
+                else
+                  match Option.bind disk (fun d -> Disk_cache.find d p) with
+                  | Some design ->
+                      Eval.seed sc p design;
+                      job.disk_hits <- job.disk_hits + 1;
+                      (p, false)
+                  | None ->
+                      job.cold <- job.cold + 1;
+                      (p, true))
+              batch
+          in
           let eval () = Eval.points sc batch in
           let designs =
             match t.cfg.eval_jobs with
@@ -111,7 +120,10 @@ let run_job t (job : Jobq.job) =
             | None -> eval ()
           in
           (match disk with
-          | Some d -> List.iter2 (fun p dsg -> Disk_cache.store d p dsg) batch designs
+          | Some d ->
+              List.iter2
+                (fun (p, cold) dsg -> if cold then Disk_cache.store d p dsg)
+                tagged designs
           | None -> ());
           List.iter
             (fun dsg ->

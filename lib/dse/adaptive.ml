@@ -184,8 +184,9 @@ let objective_bound ctx (pr : Design.t) =
    budget (in list order, so truncation is deterministic), classifies
    provenance, promotes disk entries into the in-memory cache, evaluates
    the rest through [Eval.points] (one shared compile, parallel over the
-   pool) and writes cold results through to disk. Returns the designs now
-   known for the requested points, in request order. *)
+   pool) and writes the cold results - only those - through to disk.
+   Returns the designs now known for the requested points, in request
+   order. *)
 let require ctx ps =
   let tmp = Ptable.create 64 in
   let fresh =
@@ -201,27 +202,35 @@ let require ctx ps =
   let take = min (remaining ctx) (List.length fresh) in
   let chosen = List.filteri (fun i _ -> i < take) fresh in
   if chosen <> [] then begin
-    List.iter
-      (fun p ->
-        if Eval.probe ctx.scenario p then ctx.mem <- ctx.mem + 1
-        else
-          match Option.bind ctx.disk (fun dc -> Disk_cache.find dc p) with
-          | Some d ->
-              Eval.seed ctx.scenario p d;
-              ctx.dsk <- ctx.dsk + 1
-          | None -> ctx.cold <- ctx.cold + 1)
-      chosen;
+    let tagged =
+      List.map
+        (fun p ->
+          if Eval.probe ctx.scenario p then begin
+            ctx.mem <- ctx.mem + 1;
+            (p, false)
+          end
+          else
+            match Option.bind ctx.disk (fun dc -> Disk_cache.find dc p) with
+            | Some d ->
+                Eval.seed ctx.scenario p d;
+                ctx.dsk <- ctx.dsk + 1;
+                (p, false)
+            | None ->
+                ctx.cold <- ctx.cold + 1;
+                (p, true))
+        chosen
+    in
     let designs = Eval.points ctx.scenario chosen in
     ctx.evaluated <- ctx.evaluated + List.length chosen;
     List.iter2
-      (fun p d ->
+      (fun (p, cold) d ->
         Ptable.add ctx.results p d;
         ctx.log <- d :: ctx.log;
         (match ctx.disk with
-        | Some dc -> Disk_cache.store dc p d
-        | None -> ());
+        | Some dc when cold -> Disk_cache.store dc p d
+        | _ -> ());
         consider ctx d)
-      chosen designs
+      tagged designs
   end;
   List.filter_map (fun p -> Ptable.find_opt ctx.results p) ps
 

@@ -8,34 +8,29 @@
    construction, and immune to any printer subtlety - with a readable
    decimal duplicate alongside for humans.
 
+   A record's filename is a function of its context and point, so the
+   tier keeps no index: [find] reads the one file that could hold the
+   answer and [open_dir] never lists the directory, whatever its size.
    Writes go to a temp file in the same directory followed by a
-   [Sys.rename], so a crash mid-write leaves at worst a [.part] file the
-   loader never looks at; a truncated or garbage record is counted in
-   [stats.skipped] and ignored, never fatal. Records carry a version
-   field: bumping [version] orphans every existing entry (skipped on
-   load), which is the invalidation story when the perf model changes. *)
+   [Sys.rename], so a crash mid-write leaves at worst a [.part] file no
+   lookup ever opens; a truncated or garbage record is counted in
+   [stats.skipped] and is a miss, never fatal, and the next store of its
+   point replaces it. Records carry a version field: bumping [version]
+   orphans every existing entry, which is the invalidation story when the
+   perf model changes. *)
 
 module Json = Acs_util.Json
 
 let version = 1
 let default_dir = Filename.concat "results" "cache"
 
-type stats = { loaded : int; hits : int; stores : int; skipped : int }
-
-module Ptable = Hashtbl.Make (struct
-  type t = Space.params
-
-  let equal = Space.params_equal
-  let hash = Space.params_hash
-end)
+type stats = { hits : int; stores : int; skipped : int }
 
 type t = {
   dir : string;
   ctx_tag : string;  (** hex of [Scenario.context_hash], for filenames *)
-  ctx_str : string;  (** canonical context JSON, compared on load *)
+  ctx_str : string;  (** canonical context JSON, compared on lookup *)
   scenario : Scenario.t;
-  table : Design.t Ptable.t;
-  mutable loaded : int;
   mutable hits : int;
   mutable stores : int;
   mutable skipped : int;
@@ -70,110 +65,95 @@ let entry_path t p =
     (Hashtbl.hash pj land 0xffff_ffff)
   |> Filename.concat t.dir
 
-let mkdirs = Acs_util.Fs.mkdir_p
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* One record off disk. [Error `Other_context] is a healthy entry that
-   belongs to a different evaluation context (or cache generation) and is
-   silently ignored; every malformed/stale shape is [`Skip]. *)
-let parse_entry t text =
-  match Json.of_string text with
-  | exception Json.Error _ -> Error `Skip
-  | j -> (
-      match Json.to_int (Json.member "version" j) with
-      | exception Json.Error _ -> Error `Skip
-      | v when v <> version -> Error `Skip
-      | _ -> (
-          match Json.to_str (Json.member "context" j) with
-          | exception Json.Error _ -> Error `Skip
-          | ctx when ctx <> t.ctx_str -> Error `Other_context
-          | _ -> (
-              try
-                let p = Space.params_of_json (Json.member "params" j) in
-                let ttft_s = bits_float (Json.to_str (Json.member "ttft_bits" j)) in
-                let tbt_s = bits_float (Json.to_str (Json.member "tbt_bits" j)) in
-                let s = t.scenario in
-                let device =
-                  Space.build ?memory_gb:s.Scenario.memory_gb
-                    ~tpp_target:s.Scenario.tpp_target p
-                in
-                Ok (p, Design.of_latencies p device ~ttft_s ~tbt_s)
-              with _ -> Error `Skip)))
-
 let open_dir ~dir scenario =
-  mkdirs dir;
-  let t =
-    {
-      dir;
-      ctx_tag = Printf.sprintf "%015x" (Scenario.context_hash scenario land max_int);
-      ctx_str = context_string scenario;
-      scenario;
-      table = Ptable.create 256;
-      loaded = 0;
-      hits = 0;
-      stores = 0;
-      skipped = 0;
-    }
-  in
-  let entries = try Sys.readdir dir with Sys_error _ -> [||] in
-  Array.iter
-    (fun name ->
-      if
-        String.length name > 4
-        && String.sub name 0 4 = "acs-"
-        && Filename.check_suffix name ".json"
-      then
-        let path = Filename.concat dir name in
-        match parse_entry t (read_file path) with
-        | Ok (p, d) ->
-            if not (Ptable.mem t.table p) then begin
-              Ptable.add t.table p d;
-              t.loaded <- t.loaded + 1
-            end
-        | Error `Other_context -> ()
-        | Error `Skip | (exception Sys_error _) ->
-            t.skipped <- t.skipped + 1)
-    entries;
-  t
+  Acs_util.Fs.mkdir_p dir;
+  {
+    dir;
+    ctx_tag = Printf.sprintf "%015x" (Scenario.context_hash scenario land max_int);
+    ctx_str = context_string scenario;
+    scenario;
+    hits = 0;
+    stores = 0;
+    skipped = 0;
+  }
+
+(* A record is a few hundred bytes. Anything far longer - or a directory
+   or device, whose length says nothing - is not one, and is never read
+   into memory. *)
+let max_record_bytes = 1 lsl 16
+
+exception Foreign
+
+(* The record in [ic], which sits at [p]'s path: [`Hit] its design;
+   [`Miss] a healthy record of another context or point - the hashes in
+   its name collided - which is left alone; [`Skip] a record that cannot
+   be read, does not parse or was written by another [version]. *)
+let decode t p ic =
+  try
+    let n = in_channel_length ic in
+    if n > max_record_bytes then failwith "oversized cache record";
+    let j = Json.of_string (really_input_string ic n) in
+    let field f name = f (Json.member name j) in
+    if field Json.to_int "version" <> version then failwith "stale cache record";
+    let q = field Space.params_of_json "params" in
+    if field Json.to_str "context" <> t.ctx_str || not (Space.params_equal p q) then
+      raise Foreign;
+    let s = t.scenario in
+    let device =
+      Space.build ?memory_gb:s.Scenario.memory_gb ~tpp_target:s.Scenario.tpp_target q
+    in
+    `Hit
+      (Design.of_latencies q device
+         ~ttft_s:(bits_float (field Json.to_str "ttft_bits"))
+         ~tbt_s:(bits_float (field Json.to_str "tbt_bits")))
+  with
+  | Foreign -> `Miss
+  | _ -> `Skip
 
 let find t p =
-  match Ptable.find_opt t.table p with
-  | Some d ->
-      t.hits <- t.hits + 1;
-      Some d
-  | None -> None
+  match open_in_bin (entry_path t p) with
+  | exception Sys_error _ -> None (* no record: the usual miss *)
+  | ic -> (
+      match Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> decode t p ic) with
+      | `Hit d ->
+          t.hits <- t.hits + 1;
+          Some d
+      | `Miss -> None
+      | `Skip ->
+          t.skipped <- t.skipped + 1;
+          None)
 
 let store t p (d : Design.t) =
-  if not (Ptable.mem t.table p) then begin
-    Ptable.add t.table p d;
-    let finite_or_null f = if Float.is_finite f then Json.float f else Json.Null in
-    let record =
-      Json.obj
-        [
-          ("version", Json.int version);
-          ("context", Json.string t.ctx_str);
-          ("params", Space.params_to_json p);
-          ("ttft_bits", Json.string (float_bits d.Design.ttft_s));
-          ("tbt_bits", Json.string (float_bits d.Design.tbt_s));
-          (* Readable duplicates, informational only (dropped when not
-             finite - JSON has no literal for nan/infinity). *)
-          ("ttft_s", finite_or_null d.Design.ttft_s);
-          ("tbt_s", finite_or_null d.Design.tbt_s);
-        ]
-    in
-    let tmp = Filename.temp_file ~temp_dir:t.dir "acs_write" ".part" in
-    let oc = open_out_bin tmp in
+  let finite_or_null f = if Float.is_finite f then Json.float f else Json.Null in
+  let record =
+    Json.obj
+      [
+        ("version", Json.int version);
+        ("context", Json.string t.ctx_str);
+        ("params", Space.params_to_json p);
+        ("ttft_bits", Json.string (float_bits d.Design.ttft_s));
+        ("tbt_bits", Json.string (float_bits d.Design.tbt_s));
+        (* Readable duplicates, informational only (dropped when not
+           finite - JSON has no literal for nan/infinity). *)
+        ("ttft_s", finite_or_null d.Design.ttft_s);
+        ("tbt_s", finite_or_null d.Design.tbt_s);
+      ]
+  in
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:t.dir "acs_write" ".part"
+  in
+  match
     Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Json.to_string ~indent:2 record));
-    Sys.rename tmp (entry_path t p);
-    t.stores <- t.stores + 1
-  end
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc (Json.to_string ~indent:2 record);
+        close_out oc);
+    Sys.rename tmp (entry_path t p)
+  with
+  | () -> t.stores <- t.stores + 1
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 
-let stats t =
-  { loaded = t.loaded; hits = t.hits; stores = t.stores; skipped = t.skipped }
+let stats t = { hits = t.hits; stores = t.stores; skipped = t.skipped }

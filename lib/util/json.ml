@@ -249,7 +249,12 @@ let parse_string st =
   loop ();
   Buffer.contents b
 
-let rec parse_value st =
+(* Every array or object costs a stack frame per nesting level, and the
+   daemon parses request bodies of up to 8 MB: without a cap a body of
+   '[' characters would recurse millions deep. *)
+let max_depth = 512
+
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | None -> fail st "unexpected end of input"
@@ -258,6 +263,8 @@ let rec parse_value st =
   | Some 'f' -> literal st "false" (Bool false)
   | Some '"' -> String (parse_string st)
   | Some ('-' | '0' .. '9') -> parse_number st
+  | Some ('[' | '{') when depth >= max_depth ->
+      fail st "arrays and objects nested deeper than %d" max_depth
   | Some '[' -> begin
       advance st;
       skip_ws st;
@@ -267,7 +274,7 @@ let rec parse_value st =
           List []
       | _ ->
           let rec items acc =
-            let v = parse_value st in
+            let v = parse_value st (depth + 1) in
             skip_ws st;
             match peek st with
             | Some ',' ->
@@ -293,7 +300,7 @@ let rec parse_value st =
             let k = parse_string st in
             skip_ws st;
             expect st ':';
-            (k, parse_value st)
+            (k, parse_value st (depth + 1))
           in
           let rec members acc =
             let kv = member () in
@@ -313,7 +320,7 @@ let rec parse_value st =
 
 let of_string s =
   let st = { input = s; pos = 0 } in
-  let v = parse_value st in
+  let v = parse_value st 0 in
   skip_ws st;
   (match peek st with
   | Some c -> fail st "trailing input starting with %C" c

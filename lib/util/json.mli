@@ -37,11 +37,16 @@ val to_channel : ?indent:int -> out_channel -> t -> unit
 
 (** {2 Parsing} *)
 
+val max_depth : int
+(** 512: the deepest nesting of arrays and objects {!of_string} accepts
+    (a top-level [[]] is depth 1). *)
+
 val of_string : string -> t
 (** Parse one JSON value (surrounding whitespace allowed; trailing
     non-space input is an error). Numbers follow RFC 8259; strings decode
     the standard escapes including [\uXXXX] (encoded back as UTF-8).
-    Raises {!Error} with a character position on malformed input. *)
+    Raises {!Error} with a character position on malformed input,
+    including arrays and objects nested deeper than {!max_depth}. *)
 
 val of_file : string -> t
 (** [of_string] over a whole file's contents; raises [Sys_error] if the

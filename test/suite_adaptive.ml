@@ -247,40 +247,49 @@ let t_refine_hook () =
 
 (* --- the disk tier --- *)
 
+(* One fig6 point, its design, and a handle that has stored it. *)
+let stored_point dir =
+  let p = List.hd (Space.enumerate Space.oct2022) in
+  let d = List.hd (Eval.points fig6 [ p ]) in
+  let c = Disk_cache.open_dir ~dir fig6 in
+  Disk_cache.store c p d;
+  (c, p, d)
+
+let check_bitwise d d' =
+  Alcotest.(check int64) "ttft bits" (Int64.bits_of_float d.Design.ttft_s)
+    (Int64.bits_of_float d'.Design.ttft_s);
+  Alcotest.(check int64) "tbt bits" (Int64.bits_of_float d.Design.tbt_s)
+    (Int64.bits_of_float d'.Design.tbt_s);
+  Alcotest.(check bool) "whole design structurally equal" true (d = d')
+
+let check_found what c p d =
+  match Disk_cache.find c p with
+  | None -> Alcotest.failf "%s: stored point not found" what
+  | Some d' -> check_bitwise d d'
+
+let check_stats what (hits, stores, skipped) c =
+  let st = Disk_cache.stats c in
+  Alcotest.(check (triple int int int))
+    (what ^ ": hits, stores, skipped")
+    (hits, stores, skipped)
+    (st.Disk_cache.hits, st.Disk_cache.stores, st.Disk_cache.skipped)
+
 let t_disk_roundtrip () =
   with_cache_dir @@ fun dir ->
-  let s = fig6 in
-  let p = List.hd (Space.enumerate Space.oct2022) in
-  let d = List.hd (Eval.points s [ p ]) in
-  let c1 = Disk_cache.open_dir ~dir s in
-  Disk_cache.store c1 p d;
-  Alcotest.(check int) "one store" 1 (Disk_cache.stats c1).Disk_cache.stores;
-  let c2 = Disk_cache.open_dir ~dir s in
-  Alcotest.(check int) "reopen loads it" 1
-    (Disk_cache.stats c2).Disk_cache.loaded;
-  match Disk_cache.find c2 p with
-  | None -> Alcotest.fail "stored point not found after reopen"
-  | Some d' ->
-      Alcotest.(check int64) "ttft bits" (Int64.bits_of_float d.Design.ttft_s)
-        (Int64.bits_of_float d'.Design.ttft_s);
-      Alcotest.(check int64) "tbt bits" (Int64.bits_of_float d.Design.tbt_s)
-        (Int64.bits_of_float d'.Design.tbt_s);
-      Alcotest.(check bool) "whole design structurally equal" true (d = d')
+  let c1, p, d = stored_point dir in
+  check_stats "writer" (0, 1, 0) c1;
+  let c2 = Disk_cache.open_dir ~dir fig6 in
+  check_found "reopen" c2 p d;
+  check_stats "reader" (1, 0, 0) c2
 
 let t_disk_context_isolation () =
   with_cache_dir @@ fun dir ->
-  let p = List.hd (Space.enumerate Space.oct2022) in
-  let d = List.hd (Eval.points fig6 [ p ]) in
-  let c1 = Disk_cache.open_dir ~dir fig6 in
-  Disk_cache.store c1 p d;
+  let _, p, _ = stored_point dir in
   (* Same directory, different evaluation context: the gpt3 handle must
      not see the llama3 entry. *)
   let c2 = Disk_cache.open_dir ~dir fig6_gpt3 in
-  Alcotest.(check int) "other context loads nothing" 0
-    (Disk_cache.stats c2).Disk_cache.loaded;
-  Alcotest.(check int) "and skips nothing (entry is healthy)" 0
-    (Disk_cache.stats c2).Disk_cache.skipped;
-  Alcotest.(check bool) "find misses" true (Disk_cache.find c2 p = None)
+  Alcotest.(check bool) "find misses" true (Disk_cache.find c2 p = None);
+  check_stats "other context (entry is healthy)" (0, 0, 0) c2
 
 let read_file path =
   let ic = open_in_bin path in
@@ -292,40 +301,57 @@ let write_file path text =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
 
-let entry_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun n -> Filename.check_suffix n ".json")
-  |> List.map (Filename.concat dir)
+let t_disk_foreign_record () =
+  (* Healthy records at the wrong path - as if the filename hashes had
+     collided - are misses, not answers and not skips. *)
+  with_cache_dir @@ fun dir ->
+  let c, p, _ = stored_point dir in
+  let q = List.nth (Space.enumerate Space.oct2022) 1 in
+  Disk_cache.store c q (List.hd (Eval.points fig6 [ q ]));
+  let p_path = Disk_cache.entry_path c p in
+  write_file p_path (read_file (Disk_cache.entry_path c q));
+  let c2 = Disk_cache.open_dir ~dir fig6 in
+  Alcotest.(check bool) "q's record at p's path misses p" true
+    (Disk_cache.find c2 p = None);
+  (* The gpt3 record for p, planted at the llama3 path for p. *)
+  let g = Disk_cache.open_dir ~dir fig6_gpt3 in
+  Disk_cache.store g p (List.hd (Eval.points fig6_gpt3 [ p ]));
+  write_file p_path (read_file (Disk_cache.entry_path g p));
+  Alcotest.(check bool) "another context's record misses" true
+    (Disk_cache.find c2 p = None);
+  check_stats "collisions" (0, 0, 0) c2
 
 let t_disk_crash_safety () =
   with_cache_dir @@ fun dir ->
-  let s = fig6 in
-  let p = List.hd (Space.enumerate Space.oct2022) in
-  let d = List.hd (Eval.points s [ p ]) in
-  let c1 = Disk_cache.open_dir ~dir s in
-  Disk_cache.store c1 p d;
-  let real = List.hd (entry_files dir) in
+  let c1, p, d = stored_point dir in
+  let real = Disk_cache.entry_path c1 p in
   (* A torn write (truncated record) and outright garbage, both named
-     like cache entries. *)
+     like cache entries, next to the healthy one. *)
   let text = read_file real in
-  write_file
-    (Filename.concat dir "acs-truncated.json")
-    (String.sub text 0 (String.length text / 2));
+  let torn = String.sub text 0 (String.length text / 2) in
+  write_file (Filename.concat dir "acs-truncated.json") torn;
   write_file (Filename.concat dir "acs-garbage.json") "{ not json at all";
-  let c2 = Disk_cache.open_dir ~dir s in
-  Alcotest.(check int) "healthy entry still loads" 1
-    (Disk_cache.stats c2).Disk_cache.loaded;
-  Alcotest.(check int) "both bad records skipped, no exception" 2
-    (Disk_cache.stats c2).Disk_cache.skipped
+  let c2 = Disk_cache.open_dir ~dir fig6 in
+  check_found "beside garbage" c2 p d;
+  check_stats "beside garbage" (1, 0, 0) c2;
+  (* The same damage at the point's own path: a miss and a skip, no
+     exception. *)
+  List.iteri
+    (fun i bad ->
+      write_file real bad;
+      let c = Disk_cache.open_dir ~dir fig6 in
+      Alcotest.(check bool) (Printf.sprintf "damaged record %d misses" i) true
+        (Disk_cache.find c p = None);
+      check_stats "damaged record" (0, 0, 1) c;
+      (* The next store of the point repairs the record. *)
+      Disk_cache.store c p d;
+      check_found "repaired" (Disk_cache.open_dir ~dir fig6) p d)
+    [ torn; "{ not json at all" ]
 
 let t_disk_version_invalidation () =
   with_cache_dir @@ fun dir ->
-  let s = fig6 in
-  let p = List.hd (Space.enumerate Space.oct2022) in
-  let d = List.hd (Eval.points s [ p ]) in
-  let c1 = Disk_cache.open_dir ~dir s in
-  Disk_cache.store c1 p d;
-  let real = List.hd (entry_files dir) in
+  let c1, p, d = stored_point dir in
+  let real = Disk_cache.entry_path c1 p in
   let bumped =
     match Acs_util.Json.of_string (read_file real) with
     | Acs_util.Json.Obj members ->
@@ -339,11 +365,91 @@ let t_disk_version_invalidation () =
     | _ -> Alcotest.fail "cache record is not an object"
   in
   write_file real (Acs_util.Json.to_string bumped);
-  let c2 = Disk_cache.open_dir ~dir s in
-  Alcotest.(check int) "future-version entry not loaded" 0
-    (Disk_cache.stats c2).Disk_cache.loaded;
-  Alcotest.(check int) "counted as skipped" 1
-    (Disk_cache.stats c2).Disk_cache.skipped
+  let c2 = Disk_cache.open_dir ~dir fig6 in
+  Alcotest.(check bool) "future-version entry misses" true
+    (Disk_cache.find c2 p = None);
+  check_stats "future-version entry counted as skipped" (0, 0, 1) c2;
+  Disk_cache.store c2 p d;
+  check_found "rewritten at this version" (Disk_cache.open_dir ~dir fig6) p d
+
+let t_disk_failed_store () =
+  (* A directory where the record belongs makes the rename fail: the
+     store raises and leaves no temp file behind. *)
+  with_cache_dir @@ fun dir ->
+  let p = List.nth (Space.enumerate Space.oct2022) 2 in
+  let d = List.hd (Eval.points fig6 [ p ]) in
+  let c = Disk_cache.open_dir ~dir fig6 in
+  let path = Disk_cache.entry_path c p in
+  Sys.mkdir path 0o755;
+  Alcotest.(check bool) "store raises" true
+    (match Disk_cache.store c p d with
+    | () -> false
+    | exception Sys_error _ -> true);
+  Alcotest.(check (list string)) "no temp file left" []
+    (Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> Filename.check_suffix n ".part"));
+  Alcotest.(check bool) "the directory is a miss" true
+    (Disk_cache.find c p = None);
+  Sys.rmdir path;
+  Disk_cache.store c p d;
+  check_found "stored once the path is free" c p d
+
+(* Random widened-lattice points in two evaluation contexts sharing one
+   directory: each point is stored under neither, either or both, and
+   fresh handles find exactly what their context stored, bit for bit. *)
+let widened = Option.get (Scenario.find "search-widened")
+let widened_4800 = { widened with Scenario.tpp_target = 4800. }
+
+let prop_disk_exact =
+  qcheck ~count:25 "disk cache finds exactly the stored points"
+    (QCheck.make
+       ~print:(fun cases ->
+         String.concat "; "
+           (List.map
+              (fun (p, (a, b)) ->
+                Printf.sprintf "%s a=%b b=%b"
+                  (Acs_util.Json.to_string (Space.params_to_json p))
+                  a b)
+              cases))
+       QCheck.Gen.(
+         list_size (int_range 1 12)
+           (pair widened_point_gen (pair bool bool))))
+    (fun cases ->
+      let cases =
+        List.fold_left
+          (fun acc (p, flags) ->
+            if List.exists (fun (q, _) -> Space.params_equal p q) acc then acc
+            else (p, flags) :: acc)
+          [] cases
+        |> List.rev
+      in
+      let pts = List.map fst cases in
+      let contexts = [ (widened, fst); (widened_4800, snd) ] in
+      let designs = List.map (fun (s, _) -> Eval.points s pts) contexts in
+      with_cache_dir @@ fun dir ->
+      List.iter2
+        (fun (s, stored_in) ds ->
+          let w = Disk_cache.open_dir ~dir s in
+          List.iter2
+            (fun (p, flags) d -> if stored_in flags then Disk_cache.store w p d)
+            cases ds)
+        contexts designs;
+      List.for_all2
+        (fun (s, stored_in) ds ->
+          let r = Disk_cache.open_dir ~dir s in
+          List.for_all2
+            (fun (p, flags) d ->
+              match Disk_cache.find r p with
+              | Some d' ->
+                  stored_in flags
+                  && Int64.bits_of_float d.Design.ttft_s
+                     = Int64.bits_of_float d'.Design.ttft_s
+                  && Int64.bits_of_float d.Design.tbt_s
+                     = Int64.bits_of_float d'.Design.tbt_s
+                  && d = d'
+              | None -> not (stored_in flags))
+            cases ds)
+        contexts designs)
 
 let t_disk_jobs_identity () =
   with_cache_dir @@ fun dir ->
@@ -362,6 +468,8 @@ let t_disk_jobs_identity () =
      tier, and the outcome is identical under a different job count. *)
   Alcotest.(check int) "warm run all from disk" b.Adaptive.evaluated
     b.Adaptive.provenance.Adaptive.disk;
+  Alcotest.(check int) "warm run stores nothing" 0
+    (Option.get b.Adaptive.disk).Disk_cache.stores;
   Alcotest.(check int) "same evaluation count" a.Adaptive.evaluated
     b.Adaptive.evaluated;
   Alcotest.(check int64) "same best, bit for bit"
@@ -396,4 +504,7 @@ let suite =
     test "disk cache skips corrupt records" t_disk_crash_safety;
     test "disk cache version bump invalidates" t_disk_version_invalidation;
     test "disk-warm run identical under 1 and 4 jobs" t_disk_jobs_identity;
+    test "disk cache: a colliding record is a miss" t_disk_foreign_record;
+    test "disk cache: a failed store leaves no temp file" t_disk_failed_store;
+    prop_disk_exact;
   ]

@@ -143,6 +143,24 @@ let t_malformed_requests_survive () =
   (* Manifest that parses as JSON but not as a scenario. *)
   let r = Client.submit ~socket (Json.obj [ ("model", Json.string "GPT-3 175B") ]) in
   Alcotest.(check int) "bad manifest 400" 400 r.Client.status;
+  (* A 1 MB body of '[': refused at the JSON nesting cap, not after
+     recursing a million deep. *)
+  let body = String.make 1_000_000 '[' in
+  let t0 = Unix.gettimeofday () in
+  let status, _ =
+    raw ~socket
+      (Printf.sprintf "POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+         (String.length body) body)
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "deeply nested JSON 400" 400 status;
+  Alcotest.(check bool) (Printf.sprintf "answered in %.3f s < 0.5 s" dt) true (dt < 0.5);
+  (* 1,000 header lines: over the header-section cap. *)
+  let headers =
+    String.concat "" (List.init 1000 (fun i -> Printf.sprintf "X-Filler-%d: x\r\n" i))
+  in
+  let status, _ = raw ~socket ("GET /healthz HTTP/1.1\r\n" ^ headers ^ "\r\n") in
+  Alcotest.(check int) "1,000 headers 400" 400 status;
   (* After all of that the daemon still answers. *)
   let r = Client.health ~socket in
   Alcotest.(check int) "server survived" 200 r.Client.status
@@ -311,6 +329,13 @@ let t_warm_cache_disk_promotion () =
         (j_str "status" r.Client.body);
       Alcotest.(check int) "all cold" 6
         (j_int "cold" (Json.member "cache" r.Client.body)));
+  (* Each entry's inode: a rewrite (temp file + rename) would change it. *)
+  let inodes () =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun n -> (n, (Unix.stat (Filename.concat dir n)).Unix.st_ino))
+  in
+  let before = inodes () in
+  Alcotest.(check int) "one entry per point" 6 (List.length before);
   Eval.clear ();
   with_server ~workers:1 ~cache_dir:dir (fun _t socket ->
       let r = Client.submit_wait ~socket manifest in
@@ -320,7 +345,9 @@ let t_warm_cache_disk_promotion () =
       Alcotest.(check int) "promoted from disk" 6 (j_int "disk" cache);
       Alcotest.(check int) "nothing cold" 0 (j_int "cold" cache);
       check_close "fully warm" 1.
-        (Json.to_float (Json.member "warm_hit_rate" r.Client.body)))
+        (Json.to_float (Json.member "warm_hit_rate" r.Client.body)));
+  Alcotest.(check (list (pair string int))) "warm job rewrote nothing" before
+    (inodes ())
 
 (* --- shutdown --- *)
 

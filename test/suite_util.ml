@@ -250,6 +250,34 @@ let t_json_errors () =
   check_raises_invalid "nan has no encoding" (fun () ->
       ignore (Json.to_string (Json.Number Float.nan)))
 
+let t_json_depth_cap () =
+  (* n nested arrays, or n nested single-member objects. *)
+  let arrays n = String.make n '[' ^ String.make n ']' in
+  let objects n =
+    String.concat "" (List.init n (fun _ -> {|{"k":|})) ^ "1" ^ String.make n '}'
+  in
+  let depth_of s =
+    let rec go = function
+      | Json.List [] -> 1
+      | Json.List (v :: _) | Json.Obj [ (_, v) ] -> 1 + go v
+      | _ -> 0
+    in
+    go (Json.of_string s)
+  in
+  List.iter
+    (fun (what, nest) ->
+      Alcotest.(check int) (what ^ " at the cap parse") Json.max_depth
+        (depth_of (nest Json.max_depth));
+      match Json.of_string (nest (Json.max_depth + 1)) with
+      | exception Json.Error _ -> ()
+      | _ -> Alcotest.failf "%s one past the cap must fail" what)
+    [ ("arrays", arrays); ("objects", objects) ];
+  (* The daemon's largest body, all '[': refused at the cap, not after
+     recursing through 8 MB. *)
+  match Json.of_string (String.make 8_000_000 '[') with
+  | exception Json.Error _ -> ()
+  | _ -> Alcotest.fail "8 MB of '[' must fail"
+
 let t_json_print () =
   let v = Json.obj [ ("keep", Json.int 1); ("drop", Json.option Json.float None) ] in
   Alcotest.(check string) "obj drops Null members" {|{"keep":1}|}
@@ -418,4 +446,5 @@ let suite =
     prop_json_round_trip;
     test "unit conversions" t_units;
     test "unit pretty printing" t_units_pp;
+    test "json nesting depth cap" t_json_depth_cap;
   ]
