@@ -15,27 +15,20 @@ let compute_die tpp l2 membw =
     ~interconnect:(Interconnect.of_total_gb_s 200.)
     ()
 
-let classify_package pkg =
-  let spec =
-    Spec.make ~tpp:(Package.total_tpp pkg) ~device_bw_gb_s:800.
-      ~die_area_mm2:(Package.total_area_mm2 pkg) ()
-  in
-  Acr_2023.classify Acr_2023.Data_center spec
+let verdict regime pkg =
+  Regime.verdict_to_string
+    (Regime.classify_package ~device_bw_gb_s:800. regime pkg)
 
 (* The same rule set applied per die instead of per package: if the rule
    measured each chiplet on its own TPP and area, would the module still
    be caught? The gap between this column and the package verdict is the
    evasion headroom a per-package scope closes. *)
-let per_die_verdict pkg =
-  Regime.verdict_to_string
-    (Regime.classify_package ~device_bw_gb_s:800.
-       (Regime.with_scope Regime.Per_die Regime.acr_2023)
-       pkg)
+let per_die = Regime.with_scope Regime.Per_die Regime.acr_2023
 
 let run_compliance () =
   note "A ~4799-TPP device needs > %.0f mm2 of applicable silicon to be \
         unregulated - 3.5x the %.0f mm2 reticle. Chiplets are the only way:"
-    (Option.get (Acr_2023.min_area_unregulated ~tpp:4799.))
+    (Option.get (Regime.area_floor Regime.acr_2023 ~tpp:4799.))
     Presets.reticle_limit_mm2;
   let t =
     Table.create
@@ -54,8 +47,8 @@ let run_compliance () =
         Printf.sprintf "%.0f" (Package.total_tpp pkg);
         Printf.sprintf "%.0f" (Package.total_area_mm2 pkg);
         Printf.sprintf "%.2f" (Package.performance_density pkg);
-        Acr_2023.tier_to_string (classify_package pkg);
-        per_die_verdict pkg;
+        verdict Regime.acr_2023 pkg;
+        verdict per_die pkg;
         Printf.sprintf "$%.0f" cost;
       ]
     in

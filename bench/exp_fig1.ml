@@ -4,6 +4,13 @@
 open Core
 open Common
 
+let marker = function
+  | Regime.License -> 'L'
+  | Regime.Nac -> 'N'
+  | Regime.Unregulated -> 'o'
+
+let area_floor tpp = Regime.area_floor Regime.acr_2023 ~tpp
+
 let run_fig1a () =
   section "Figure 1a: device classification under October 2022 rules";
   let t =
@@ -15,23 +22,20 @@ let run_fig1a () =
   let rows =
     List.map
       (fun g ->
-        let c = Gpu.classify_2022 g in
-        let marker =
-          match c with Acr_2022.License_required -> 'L' | Acr_2022.Not_applicable -> 'o'
-        in
-        Scatter.add plot ~marker ~x:g.Gpu.device_bw_gb_s ~y:g.Gpu.tpp;
+        let c = Gpu.verdict Regime.acr_2022 g in
+        Scatter.add plot ~marker:(marker c) ~x:g.Gpu.device_bw_gb_s ~y:g.Gpu.tpp;
         Table.add_row t
           [
             g.Gpu.name;
             Printf.sprintf "%.0f" g.Gpu.device_bw_gb_s;
             Printf.sprintf "%.0f" g.Gpu.tpp;
-            Acr_2022.classification_to_string c;
+            Regime.verdict_to_string c;
           ];
         [
           g.Gpu.name;
           Printf.sprintf "%.0f" g.Gpu.device_bw_gb_s;
           Printf.sprintf "%.0f" g.Gpu.tpp;
-          Acr_2022.classification_to_string c;
+          Regime.verdict_to_string c;
         ])
       Database.flagships_2022
   in
@@ -40,11 +44,6 @@ let run_fig1a () =
     ~legend:[ ('L', "license required"); ('o', "not applicable") ]
     plot;
   csv "fig1a.csv" [ "device"; "device_bw_gb_s"; "tpp"; "classification" ] rows
-
-let tier_marker = function
-  | Acr_2023.License_required -> 'L'
-  | Acr_2023.Nac_eligible -> 'N'
-  | Acr_2023.Not_applicable -> 'o'
 
 let run_fig1b () =
   section "Figure 1b: device classification under October 2023 rules";
@@ -57,15 +56,15 @@ let run_fig1b () =
   let rows =
     List.map
       (fun g ->
-        let c = Gpu.classify_2023 g in
+        let c = Gpu.verdict Regime.acr_2023 g in
         let pd = Gpu.performance_density g in
-        Scatter.add plot ~marker:(tier_marker c) ~x:pd ~y:g.Gpu.tpp;
+        Scatter.add plot ~marker:(marker c) ~x:pd ~y:g.Gpu.tpp;
         let row =
           [
             g.Gpu.name;
             Printf.sprintf "%.2f" pd;
             Printf.sprintf "%.0f" g.Gpu.tpp;
-            Acr_2023.tier_to_string c;
+            Regime.verdict_to_string c;
           ]
         in
         Table.add_row t row;
@@ -89,9 +88,9 @@ let run_fig2 () =
   let rows =
     List.map
       (fun g ->
-        let c = Gpu.classify_2023 g in
+        let c = Gpu.verdict Regime.acr_2023 g in
         let floor_ =
-          match Acr_2023.min_area_unregulated ~tpp:g.Gpu.tpp with
+          match area_floor g.Gpu.tpp with
           | None -> "impossible"
           | Some a when a = 0. -> "none"
           | Some a -> Printf.sprintf "%.0f mm2" a
@@ -101,7 +100,7 @@ let run_fig2 () =
             g.Gpu.name;
             Printf.sprintf "%.0f" g.Gpu.die_area_mm2;
             Printf.sprintf "%.0f" g.Gpu.tpp;
-            Acr_2023.tier_to_string c;
+            Regime.verdict_to_string c;
             floor_;
           ]
         in
@@ -113,9 +112,9 @@ let run_fig2 () =
   note
     "Sec 2.5 floors: 2399 TPP needs > %.0f mm2; 1600 TPP needs > %.0f mm2; a \
      4799 TPP design needs > %.0f mm2 (3.5x the reticle limit)."
-    (Option.get (Acr_2023.min_area_unregulated ~tpp:2399.))
-    (Option.get (Acr_2023.min_area_unregulated ~tpp:1600.))
-    (Option.get (Acr_2023.min_area_unregulated ~tpp:4799.));
+    (Option.get (area_floor 2399.))
+    (Option.get (area_floor 1600.))
+    (Option.get (area_floor 4799.));
   csv "fig2.csv"
     [ "device"; "die_area_mm2"; "tpp"; "classification"; "min_unregulated_area" ]
     rows

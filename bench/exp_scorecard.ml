@@ -27,7 +27,7 @@ let claims () =
   (* Sweeps by registry scenario name; [model_tag] picks the family. *)
   let best22 model obj =
     Optimum.best_exn
-      ~filters:[ Design.compliant_2022; Design.manufacturable ]
+      ~filters:[ Design.compliant Regime.acr_2022; Design.manufacturable ]
       obj
       (designs_of (Printf.sprintf "fig6-%s" (model_tag model)))
   in

@@ -1,25 +1,14 @@
-(* Table 1: the Advanced Computing Rule definitions, exercised against the
-   device survey so the policy engine's thresholds are visible. *)
+(* Table 1: the Advanced Computing Rule definitions, printed from the
+   regime registry and exercised against the device survey. *)
 
 open Core
 open Common
 
 let run () =
   section "Table 1: Advanced Computing Rule definitions";
-  note "October 2022 (all devices): license required iff TPP >= %.0f AND \
-        bidirectional device bandwidth >= %.0f GB/s."
-    Acr_2022.tpp_threshold Acr_2022.bandwidth_threshold_gb_s;
-  note "October 2023 (data center): license iff TPP >= %.0f OR (TPP >= %.0f \
-        AND PD >= %.2f); NAC iff (%.0f <= TPP < %.0f AND %.1f <= PD < %.2f) \
-        OR (TPP >= %.0f AND %.1f <= PD < %.2f)."
-    Acr_2023.tpp_license Acr_2023.tpp_floor Acr_2023.pd_license
-    Acr_2023.tpp_nac_low Acr_2023.tpp_license Acr_2023.pd_nac_low
-    Acr_2023.pd_license Acr_2023.tpp_floor Acr_2023.pd_nac Acr_2023.pd_license;
-  note "October 2023 (non-data center): NAC iff TPP >= %.0f."
-    Acr_2023.tpp_license;
-  note "December 2024 (HBM packages): controlled above %.1f GB/s/mm2; \
-        License Exception HBM below %.1f GB/s/mm2."
-    Hbm_2024.density_threshold Hbm_2024.exception_threshold;
+  List.iter
+    (fun r -> Format.printf "%a@." Regime.pp r)
+    [ Regime.acr_2022; Regime.acr_2023; Regime.hbm_2024 ];
   let t =
     Table.create
       ~aligns:[ Table.Left; Table.Left; Table.Left; Table.Left ]
@@ -32,8 +21,8 @@ let run () =
           [
             g.Gpu.name;
             Gpu.segment_to_string g.Gpu.segment;
-            Acr_2022.classification_to_string (Gpu.classify_2022 g);
-            Acr_2023.tier_to_string (Gpu.classify_2023 g);
+            Regime.verdict_to_string (Gpu.verdict Regime.acr_2022 g);
+            Regime.verdict_to_string (Gpu.verdict Regime.acr_2023 g);
           ]
         in
         Table.add_row t row;

@@ -70,7 +70,7 @@ let tests =
       Test.make ~name:"classify-survey"
         (Staged.stage (fun () ->
              List.iter
-               (fun g -> ignore (Core.Gpu.classify_2023 g))
+               (fun g -> ignore (Core.Gpu.verdict Core.Regime.acr_2023 g))
                Core.Database.survey));
       Test.make ~name:"good-die-cost"
         (Staged.stage (fun () ->

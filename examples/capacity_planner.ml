@@ -20,7 +20,7 @@ let best_2022 model =
   in
   let best =
     Optimum.best_exn
-      ~filters:[ Design.compliant_2022; Design.manufacturable ]
+      ~filters:[ Design.compliant Regime.acr_2022; Design.manufacturable ]
       Optimum.Tbt designs
   in
   { best.Design.device with Device.name = "best-oct22-compliant" }
@@ -63,8 +63,8 @@ let plan model =
       let r = Engine.simulate dev model in
       let area = Area_model.total_mm2 dev in
       let tier =
-        Acr_2023.tier_to_string
-          (Acr_2023.classify Acr_2023.Data_center (Spec.of_device dev))
+        Regime.verdict_to_string
+          (Regime.verdict Regime.acr_2023 (Regime.of_device dev))
       in
       Table.add_row t
         [

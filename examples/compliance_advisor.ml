@@ -24,9 +24,8 @@ let model = Model.gpt3_175b
 
 let describe name dev =
   let r = Engine.simulate dev model in
-  (* Derated SKUs ship on the flagship's die: PD uses its area. Both
-     verdict columns come from the same registry values the rest of the
-     tree uses ([Regime.verdict] defaults to the data-center market). *)
+  (* Derated SKUs ship on the flagship's die: PD uses its area.
+     [Regime.verdict] defaults to the data-center market. *)
   let subject = Regime.of_spec (Spec.of_device ~area_mm2:die_area dev) in
   let verdict regime =
     Regime.verdict_to_string (Regime.verdict regime subject)

@@ -24,7 +24,9 @@ let model = Model.llama3_8b
 let optima =
   lazy
     (let sweep = Design.evaluate_sweep ~model ~tpp_target:4800. Space.oct2022 in
-     let filters = [ Design.compliant_2022; Design.manufacturable ] in
+     let filters =
+       [ Design.compliant Regime.acr_2022; Design.manufacturable ]
+     in
      ( Optimum.best_exn ~filters Optimum.Ttft_cost sweep,
        Optimum.best_exn ~filters Optimum.Tbt_cost sweep ))
 

@@ -50,18 +50,21 @@ let () =
 
   (* 5. Classify the design under the Advanced Computing Rules. *)
   let spec = Spec.of_device ~area_mm2:area device in
+  let verdict ?market regime =
+    Regime.verdict_to_string
+      (Regime.verdict ?market regime (Regime.of_spec spec))
+  in
   Format.printf "spec: %a@." Spec.pp spec;
-  Format.printf "October 2022 rule: %s@."
-    (Acr_2022.classification_to_string (Acr_2022.classify spec));
+  Format.printf "October 2022 rule: %s@." (verdict Regime.acr_2022);
   List.iter
     (fun market ->
       Format.printf "October 2023 rule (%s): %s@."
-        (Acr_2023.market_to_string market)
-        (Acr_2023.tier_to_string (Acr_2023.classify market spec)))
-    [ Acr_2023.Data_center; Acr_2023.Non_data_center ];
+        (Regime.market_to_string market)
+        (verdict ~market Regime.acr_2023))
+    [ Regime.Data_center; Regime.Non_data_center ];
 
   (* 6. How much die area would make this TPP fully unregulated? *)
-  (match Acr_2023.min_area_unregulated ~tpp:(Device.tpp device) with
+  (match Regime.area_floor Regime.acr_2023 ~tpp:(Device.tpp device) with
   | Some floor_ when floor_ > area ->
       Format.printf
         "to be unregulated as a data-center part, the die must grow to %.0f \

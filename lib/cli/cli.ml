@@ -60,16 +60,19 @@ let device_args =
 (* --- classify --- *)
 
 let classify_spec spec =
+  let subject = Regime.of_spec spec in
+  let verdict ?market r =
+    Regime.verdict_to_string (Regime.verdict ?market r subject)
+  in
   Format.printf "spec: %a@." Spec.pp spec;
-  Format.printf "October 2022: %s@."
-    (Acr_2022.classification_to_string (Acr_2022.classify spec));
+  Format.printf "October 2022: %s@." (verdict Regime.acr_2022);
   List.iter
     (fun market ->
       Format.printf "October 2023 (%s): %s@."
-        (Acr_2023.market_to_string market)
-        (Acr_2023.tier_to_string (Acr_2023.classify market spec)))
-    [ Acr_2023.Data_center; Acr_2023.Non_data_center ];
-  (match Acr_2023.min_area_unregulated ~tpp:spec.Spec.tpp with
+        (Regime.market_to_string market)
+        (verdict ~market Regime.acr_2023))
+    [ Regime.Data_center; Regime.Non_data_center ];
+  (match Regime.area_floor Regime.acr_2023 ~tpp:spec.Spec.tpp with
   | Some floor_ when floor_ > spec.Spec.die_area_mm2 ->
       Format.printf "area floor to be unregulated (DC): %.0f mm^2@." floor_
   | Some _ | None -> ());
@@ -79,7 +82,7 @@ let classify_spec spec =
       Format.printf "  %-18s %s@."
         (Timeline.regime_to_string regime)
         (Timeline.ruling_to_string ruling))
-    (Timeline.history ~market:Acr_2023.Data_center spec)
+    (Timeline.history ~market:Regime.Data_center spec)
 
 let classify_cmd =
   let device_name =
@@ -98,9 +101,12 @@ let classify_cmd =
             `Ok ()
         | None -> `Error (false, Printf.sprintf "unknown device %S" n)
       end
-    | None, Some tpp ->
-        classify_spec (Spec.make ~tpp ~device_bw_gb_s:bw ~die_area_mm2:area ());
-        `Ok ()
+    | None, Some tpp -> (
+        match Spec.make ~tpp ~device_bw_gb_s:bw ~die_area_mm2:area () with
+        | spec ->
+            classify_spec spec;
+            `Ok ()
+        | exception Invalid_argument msg -> `Error (false, msg))
     | None, None -> `Error (true, "pass either --device or --tpp")
   in
   Cmd.v (Cmd.info "classify" ~doc:"Classify a device under the Advanced Computing Rules.")
@@ -269,8 +275,8 @@ let dse_cmd =
     in
     let compliant =
       match space with
-      | `Oct2022 | `Restricted -> Design.compliant_2022
-      | `Oct2023 -> Design.compliant_2023
+      | `Oct2022 | `Restricted -> Design.compliant Regime.acr_2022
+      | `Oct2023 -> Design.compliant Regime.acr_2023
     in
     let ok =
       List.filter (fun d -> compliant d && Design.manufacturable d) designs
@@ -1610,7 +1616,9 @@ let package_cmd =
   let dies = Arg.(value & opt int 4 & info [ "dies" ] ~doc:"Compute chiplets.") in
   let die_area = Arg.(value & opt float 750. & info [ "die-area" ] ~doc:"Area per chiplet, mm^2.") in
   let die_tpp = Arg.(value & opt float 1199. & info [ "die-tpp" ] ~doc:"TPP target per chiplet.") in
-  let run dies die_area die_tpp =
+  let build dies die_area die_tpp =
+    if not (Float.is_finite die_tpp && die_tpp > 0.) then
+      invalid_arg "--die-tpp must be finite and positive";
     let cores =
       Device.cores_for_tpp ~tpp:die_tpp ~lanes_per_core:2
         ~systolic:(Systolic.square 16) ()
@@ -1622,25 +1630,26 @@ let package_cmd =
         ~interconnect:(Interconnect.of_total_gb_s 200.)
         ()
     in
-    let pkg =
-      Package.make ~compute_die:die ~compute_die_area_mm2:die_area
-        ~compute_dies:dies ()
-    in
-    Format.printf "%a@." Package.pp pkg;
-    let spec =
-      Spec.make ~tpp:(Package.total_tpp pkg) ~device_bw_gb_s:400.
-        ~die_area_mm2:(Package.total_area_mm2 pkg) ()
-    in
-    Format.printf "October 2023 (data center): %s@."
-      (Acr_2023.tier_to_string (Acr_2023.classify Acr_2023.Data_center spec));
-    Format.printf "package cost: $%.0f@."
-      (Cost_model.package_cost_usd ~process:Cost_model.n7
-         ~die_areas_mm2:(Package.die_areas pkg) ())
+    Package.make ~compute_die:die ~compute_die_area_mm2:die_area
+      ~compute_dies:dies ()
+  in
+  let run dies die_area die_tpp =
+    match build dies die_area die_tpp with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | pkg ->
+        Format.printf "%a@." Package.pp pkg;
+        Format.printf "October 2023 (data center): %s@."
+          (Regime.verdict_to_string
+             (Regime.classify_package ~device_bw_gb_s:400. Regime.acr_2023 pkg));
+        Format.printf "package cost: $%.0f@."
+          (Cost_model.package_cost_usd ~process:Cost_model.n7
+             ~die_areas_mm2:(Package.die_areas pkg) ());
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "package"
        ~doc:"Build a multi-chip module and classify/cost it.")
-    Term.(const run $ dies $ die_area $ die_tpp)
+    Term.(ret (const run $ dies $ die_area $ die_tpp))
 
 (* --- plan --- *)
 
@@ -1691,8 +1700,8 @@ let survey_cmd =
             Gpu.segment_to_string g.Gpu.segment;
             Printf.sprintf "%.0f" g.Gpu.tpp;
             Printf.sprintf "%.2f" (Gpu.performance_density g);
-            Acr_2022.classification_to_string (Gpu.classify_2022 g);
-            Acr_2023.tier_to_string (Gpu.classify_2023 g);
+            Regime.verdict_to_string (Gpu.verdict Regime.acr_2022 g);
+            Regime.verdict_to_string (Gpu.verdict Regime.acr_2023 g);
             Arch_classifier.status_to_string (Arch_classifier.status g);
           ])
       gpus;

@@ -11,10 +11,10 @@
     - {!Area_model}, {!Cost_model}: silicon area and cost
 
     {2 The paper's contribution}
-    - {!Spec}, {!Regime}, {!Acr_2022}, {!Acr_2023}, {!Hbm_2024},
-      {!Proposals}: the Advanced Computing Rules and the proposed
-      architecture-first policies, with {!Regime} the combinator DSL the
-      era classifiers are built on
+    - {!Spec}, {!Regime}, {!Proposals}: the Advanced Computing Rules
+      and the proposed architecture-first policies, every one a
+      {!Regime} value (the combinator DSL and the registry of shipped
+      rules)
     - {!Gpu}, {!Database}: the real-device survey
     - {!Space}, {!Design}, {!Pareto}, {!Optimum}: design space exploration
     - {!Scenario}, {!Eval}: typed experiment manifests and the parallel,
@@ -69,9 +69,6 @@ module Binning = Acs_cost.Binning
 module Power_model = Acs_power.Power_model
 module Spec = Acs_policy.Spec
 module Regime = Acs_policy.Regime
-module Acr_2022 = Acs_policy.Acr_2022
-module Acr_2023 = Acs_policy.Acr_2023
-module Hbm_2024 = Acs_policy.Hbm_2024
 module Proposals = Acs_policy.Proposals
 module Historical = Acs_policy.Historical
 module Diffusion_2025 = Acs_policy.Diffusion_2025

@@ -28,23 +28,24 @@ let spec t =
 
 let marketing_market t =
   match t.segment with
-  | Data_center -> Acs_policy.Acr_2023.Data_center
-  | Consumer | Workstation -> Acs_policy.Acr_2023.Non_data_center
+  | Data_center -> Acs_policy.Regime.Data_center
+  | Consumer | Workstation -> Acs_policy.Regime.Non_data_center
 
 let architectural_market t =
   if
     Acs_policy.Proposals.architectural_data_center ~memory_gb:t.memory_gb
       ~memory_bw_gb_s:t.memory_bw_gb_s
-  then Acs_policy.Acr_2023.Data_center
-  else Acs_policy.Acr_2023.Non_data_center
+  then Acs_policy.Regime.Data_center
+  else Acs_policy.Regime.Non_data_center
 
 let subject t =
   Acs_policy.Regime.subject
     ~memory_bw_tb_s:(t.memory_bw_gb_s /. 1000.)
     ~memory_gb:t.memory_gb (spec t)
 
-let classify_2022 t = Acs_policy.Acr_2022.classify (spec t)
-let classify_2023 t = Acs_policy.Acr_2023.classify (marketing_market t) (spec t)
+let verdict ?market regime t =
+  let market = Option.value market ~default:(marketing_market t) in
+  Acs_policy.Regime.verdict ~market regime (subject t)
 
 let to_template t =
   let module D = Acs_hardware.Device in

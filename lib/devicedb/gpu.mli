@@ -38,16 +38,21 @@ val subject : t -> Acs_policy.Regime.subject
     (systolic dimensions, L1/L2) are not on datasheets and stay
     unreported — predicates over them never fire on real products. *)
 
-val marketing_market : t -> Acs_policy.Acr_2023.market
+val marketing_market : t -> Acs_policy.Regime.market
 (** [Data_center] for data-center-marketed devices, [Non_data_center] for
     consumer and workstation devices. *)
 
-val architectural_market : t -> Acs_policy.Acr_2023.market
+val architectural_market : t -> Acs_policy.Regime.market
 (** The Sec. 5.2 classifier applied to this device's memory system. *)
 
-val classify_2022 : t -> Acs_policy.Acr_2022.classification
-val classify_2023 : t -> Acs_policy.Acr_2023.tier
-(** Classification under the marketing-based October 2023 rule. *)
+val verdict :
+  ?market:Acs_policy.Regime.market ->
+  Acs_policy.Regime.t ->
+  t ->
+  Acs_policy.Regime.verdict
+(** The device's verdict under a regime, judged on its {!subject}.
+    [market] defaults to the device's marketing segment
+    ({!marketing_market}), which is how the published rules apply. *)
 
 val to_template : t -> Acs_hardware.Device.t
 (** An LLMCompass-style template approximating this product: A100-like

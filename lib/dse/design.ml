@@ -8,8 +8,6 @@ type t = {
   sram_mb : float;
   within_reticle : bool;
   spec : Acs_policy.Spec.t;
-  acr2022 : Acs_policy.Acr_2022.classification;
-  acr2023_dc : Acs_policy.Acr_2023.tier;
   die_cost_usd : float;
   good_die_cost_usd : float;
   ttft_s : float;
@@ -22,7 +20,6 @@ type t = {
    bitwise-equal value here. *)
 let of_latencies params device ~ttft_s ~tbt_s =
   let area_mm2 = Area_model.total_mm2 device in
-  let spec = Acs_policy.Spec.of_device ~area_mm2 device in
   let process = Cost_model.n7 in
   (* Designs far beyond the reticle limit may not even fit a wafer; give
      them infinite cost instead of failing (they are filtered out as
@@ -39,9 +36,7 @@ let of_latencies params device ~ttft_s ~tbt_s =
     area_mm2;
     sram_mb = Area_model.sram_mb device;
     within_reticle = area_mm2 <= Acs_hardware.Presets.reticle_limit_mm2;
-    spec;
-    acr2022 = Acs_policy.Acr_2022.classify spec;
-    acr2023_dc = Acs_policy.Acr_2023.classify Acs_policy.Acr_2023.Data_center spec;
+    spec = Acs_policy.Spec.of_device ~area_mm2 device;
     die_cost_usd;
     good_die_cost_usd;
     ttft_s;
@@ -66,24 +61,17 @@ let evaluate_sweep ?calib ?tp ?request ~model ~tpp_target sweep =
     (fun p -> evaluate ?calib ?tp ?request ~model p (Space.build ~tpp_target p))
     params
 
-let compliant_2022 d = d.acr2022 = Acs_policy.Acr_2022.Not_applicable
-let compliant_2023 d = d.acr2023_dc = Acs_policy.Acr_2023.Not_applicable
 let manufacturable d = d.within_reticle
 
-(* The subject reuses the design's own spec bit-exactly (rather than the
-   equal one [Regime.of_device] would recompute), so regime verdicts and
-   the stored [acr2022]/[acr2023_dc] fields can never disagree. *)
-let subject d =
-  {
-    (Acs_policy.Regime.of_device ~area_mm2:d.area_mm2 d.device) with
-    Acs_policy.Regime.spec = d.spec;
-  }
+let subject d = Acs_policy.Regime.of_device ~area_mm2:d.area_mm2 d.device
 
 let verdict ?market regime d =
   Acs_policy.Regime.verdict ?market regime (subject d)
 
 let compliant ?market regime d =
   not (Acs_policy.Regime.regulated ?market regime (subject d))
+
+let compliant_2023 = compliant Acs_policy.Regime.acr_2023
 
 let ttft_cost_product d = Acs_util.Units.to_ms d.ttft_s *. d.die_cost_usd
 let tbt_cost_product d = Acs_util.Units.to_ms d.tbt_s *. d.die_cost_usd
@@ -113,7 +101,7 @@ let csv_row d =
     Printf.sprintf "%.4f" (ms d.ttft_s);
     Printf.sprintf "%.5f" (ms d.tbt_s);
     Printf.sprintf "%.2f" d.die_cost_usd;
-    Acs_policy.Acr_2023.tier_to_string d.acr2023_dc;
+    Acs_policy.Regime.verdict_to_string (verdict Acs_policy.Regime.acr_2023 d);
     string_of_bool d.within_reticle;
   ]
 

@@ -1,5 +1,7 @@
 (** Evaluated design points: hardware + simulated performance + area +
-    cost + regulatory classification. *)
+    cost, plus the regulated quantities ({!spec}). Verdicts are not
+    stored: {!verdict} and {!compliant} judge a design under any
+    {!Acs_policy.Regime} value. *)
 
 type t = {
   params : Space.params;
@@ -8,10 +10,6 @@ type t = {
   sram_mb : float;
   within_reticle : bool;
   spec : Acs_policy.Spec.t;
-  acr2022 : Acs_policy.Acr_2022.classification;
-  acr2023_dc : Acs_policy.Acr_2023.tier;
-      (** tier under the data-center rules, which is how the paper judges
-          simulated designs *)
   die_cost_usd : float;
   good_die_cost_usd : float;
   ttft_s : float;
@@ -21,7 +19,7 @@ type t = {
 val of_latencies :
   Space.params -> Acs_hardware.Device.t -> ttft_s:float -> tbt_s:float -> t
 (** Reconstitute a design from its parameters, built device and simulated
-    latencies: every other field (area, spec, tiers, cost) is derived
+    latencies: every other field (area, spec, cost) is derived
     deterministically from the device, so the result is structurally
     identical to what {!evaluate} would have produced with those
     latencies. The on-disk eval cache stores exactly this tuple and uses
@@ -57,19 +55,12 @@ val evaluate_sweep :
   Space.sweep ->
   t list
 
-val compliant_2022 : t -> bool
-(** Not regulated by the October 2022 rule. *)
-
-val compliant_2023 : t -> bool
-(** Fully unregulated under October 2023 data-center rules (the paper
-    excludes NAC-eligible designs since NAC licenses may be denied). *)
-
 val manufacturable : t -> bool
 (** Within the 860 mm^2 reticle limit. *)
 
 val subject : t -> Acs_policy.Regime.subject
-(** The design as a regime subject: the stored spec (bit-exact) plus the
-    template's architectural quantities (memory, systolic, L1/L2). *)
+(** The design as a regime subject: its spec plus the template's
+    architectural quantities (memory, systolic, L1/L2). *)
 
 val verdict :
   ?market:Acs_policy.Regime.market ->
@@ -80,9 +71,12 @@ val verdict :
     [Data_center], how the paper judges simulated designs. *)
 
 val compliant : ?market:Acs_policy.Regime.market -> Acs_policy.Regime.t -> t -> bool
-(** Fully unregulated under the regime: [compliant Regime.acr_2022] is
-    {!compliant_2022} and [compliant Regime.acr_2023] is
-    {!compliant_2023} (the test suite pins both). *)
+(** Fully unregulated under the regime (the paper excludes NAC-eligible
+    designs, since NAC licenses may be denied). *)
+
+val compliant_2023 : t -> bool
+(** [compliant Regime.acr_2023]: the paper's validity filter for
+    simulated designs. *)
 
 val ttft_cost_product : t -> float
 (** TTFT(ms) x die cost($): Fig. 8's y-axis. *)
@@ -92,5 +86,6 @@ val pp : Format.formatter -> t -> unit
 
 val csv_header : string list
 val csv_row : t -> string list
-(** The standard design CSV (parameters, area, PD, latencies, cost,
-    classification), shared by the bench sections and [acs run]. *)
+(** The standard design CSV (parameters, area, PD, latencies, cost, and
+    the verdict under {!Acs_policy.Regime.acr_2023}), shared by the bench
+    sections and [acs run]. *)

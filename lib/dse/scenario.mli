@@ -64,10 +64,8 @@ val size : t -> int
 
 val compliant : t -> Design.t -> bool
 (** Compliance of a design under the scenario's {!field-regime}
-    ([Design.compliant]): fully unregulated. Under [Regime.acr_2022] /
-    [Regime.acr_2023] this coincides with [Design.compliant_2022] /
-    [Design.compliant_2023]; under [Regime.pre_acr] everything is
-    compliant. *)
+    ([Design.compliant], data-center market): fully unregulated. Under
+    [Regime.pre_acr] everything is compliant. *)
 
 (** {2 Context equality and hashing (the [Eval] cache key)}
 

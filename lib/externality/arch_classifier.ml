@@ -1,15 +1,15 @@
 module Gpu = Acs_devicedb.Gpu
-module Acr = Acs_policy.Acr_2023
+module Regime = Acs_policy.Regime
 
 type status = Consistent | False_data_center | False_non_data_center
 
 let status gpu =
   match (Gpu.marketing_market gpu, Gpu.architectural_market gpu) with
-  | Acr.Data_center, Acr.Data_center
-  | Acr.Non_data_center, Acr.Non_data_center ->
+  | Regime.Data_center, Regime.Data_center
+  | Regime.Non_data_center, Regime.Non_data_center ->
       Consistent
-  | Acr.Data_center, Acr.Non_data_center -> False_data_center
-  | Acr.Non_data_center, Acr.Data_center -> False_non_data_center
+  | Regime.Data_center, Regime.Non_data_center -> False_data_center
+  | Regime.Non_data_center, Regime.Data_center -> False_non_data_center
 
 type analysis = {
   consistent_dc : Gpu.t list;
@@ -20,7 +20,7 @@ type analysis = {
 
 let analyze gpus =
   let dc, ndc =
-    List.partition (fun g -> Gpu.marketing_market g = Acr.Data_center) gpus
+    List.partition (fun g -> Gpu.marketing_market g = Regime.Data_center) gpus
   in
   let false_dc, consistent_dc =
     List.partition (fun g -> status g = False_data_center) dc

@@ -1,24 +1,24 @@
 module Gpu = Acs_devicedb.Gpu
-module Acr = Acs_policy.Acr_2023
+module Regime = Acs_policy.Regime
 
 type status = Consistent | False_data_center | False_non_data_center
 
 let opposite = function
-  | Acr.Data_center -> Acr.Non_data_center
-  | Acr.Non_data_center -> Acr.Data_center
+  | Regime.Data_center -> Regime.Non_data_center
+  | Regime.Non_data_center -> Regime.Data_center
 
 let rebranded_tier gpu =
-  Acr.classify (opposite (Gpu.marketing_market gpu)) (Gpu.spec gpu)
+  Gpu.verdict ~market:(opposite (Gpu.marketing_market gpu)) Regime.acr_2023 gpu
 
 let status gpu =
-  let current = Gpu.classify_2023 gpu in
+  let current = Gpu.verdict Regime.acr_2023 gpu in
   let rebranded = rebranded_tier gpu in
-  let regulated t = t <> Acr.Not_applicable in
+  let regulated v = v <> Regime.Unregulated in
   match Gpu.marketing_market gpu with
-  | Acr.Data_center ->
+  | Regime.Data_center ->
       if regulated current && not (regulated rebranded) then False_data_center
       else Consistent
-  | Acr.Non_data_center ->
+  | Regime.Non_data_center ->
       if (not (regulated current)) && regulated rebranded then
         False_non_data_center
       else Consistent
@@ -31,7 +31,7 @@ type analysis = {
 }
 
 let analyze gpus =
-  let is_dc g = Gpu.marketing_market g = Acr.Data_center in
+  let is_dc g = Gpu.marketing_market g = Regime.Data_center in
   let part pred = List.partition pred in
   let dc, ndc = part is_dc gpus in
   let false_dc, consistent_dc =

@@ -13,9 +13,9 @@ type status =
   | False_data_center
   | False_non_data_center
 
-val rebranded_tier : Acs_devicedb.Gpu.t -> Acs_policy.Acr_2023.tier
-(** Classification the device would receive under the opposite market
-    segment. *)
+val rebranded_tier : Acs_devicedb.Gpu.t -> Acs_policy.Regime.verdict
+(** The {!Acs_policy.Regime.acr_2023} verdict the device would receive
+    under the opposite market segment. *)
 
 val status : Acs_devicedb.Gpu.t -> status
 

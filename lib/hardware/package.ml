@@ -11,8 +11,10 @@ let make ?(name = "package") ?(io_die_area_mm2 = 0.) ?(io_dies = 0)
     ~compute_die ~compute_die_area_mm2 ~compute_dies () =
   if compute_dies <= 0 then
     invalid_arg "Package.make: need at least one compute die";
-  if compute_die_area_mm2 <= 0. then
-    invalid_arg "Package.make: compute die area must be positive";
+  if not (Float.is_finite compute_die_area_mm2 && compute_die_area_mm2 > 0.)
+  then invalid_arg "Package.make: compute die area must be finite and positive";
+  if not (Float.is_finite io_die_area_mm2) then
+    invalid_arg "Package.make: IO die area must be finite";
   if io_dies < 0 || (io_dies > 0 && io_die_area_mm2 <= 0.) then
     invalid_arg "Package.make: inconsistent IO dies";
   let reticle = Presets.reticle_limit_mm2 in

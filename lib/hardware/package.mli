@@ -32,8 +32,9 @@ val make :
   compute_dies:int ->
   unit ->
   t
-(** Raises [Invalid_argument] on non-positive dies/areas, or when a die
-    exceeds the 860 mm^2 reticle limit (each chiplet must itself be
+(** Raises [Invalid_argument] on non-positive dies/areas, on a
+    non-finite (NaN, infinite) die area, or when a die exceeds the
+    860 mm^2 reticle limit (each chiplet must itself be
     manufacturable). *)
 
 val total_tpp : t -> float

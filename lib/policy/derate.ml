@@ -42,18 +42,16 @@ let strategy_to_string = function
       Printf.sprintf "cap memory bandwidth at %.1f TB/s" tb
 
 let compliant_2022 dev =
-  let spec = Spec.of_device dev in
-  if Acr_2022.classify spec = Acr_2022.Not_applicable then []
+  if not (Regime.regulated Regime.acr_2022 (Regime.of_device dev)) then []
   else begin
     let bw_escape =
       if Device.device_bandwidth_gb_s dev > 400. then
         [ Cap_interconnect 400. ]
       else []
     in
+    let tpp_cap = Option.get (Regime.threshold Regime.acr_2022 Regime.Tpp) in
     let tpp_escape =
-      if Device.tpp dev >= Acr_2022.tpp_threshold then
-        [ Cap_tpp Acr_2022.tpp_threshold ]
-      else []
+      if Device.tpp dev >= tpp_cap then [ Cap_tpp tpp_cap ] else []
     in
     List.map (fun s -> (s, apply s dev)) (bw_escape @ tpp_escape)
   end
@@ -66,8 +64,9 @@ let best_2023_core_cut ?die_area_mm2 dev =
   in
   let unregulated cores =
     let candidate = { dev with Device.core_count = cores } in
-    let spec = Spec.of_device ~area_mm2:area candidate in
-    Acr_2023.classify Acr_2023.Data_center spec = Acr_2023.Not_applicable
+    not
+      (Regime.regulated Regime.acr_2023
+         (Regime.of_device ~area_mm2:area candidate))
   in
   (* Tier boundaries are monotone in core count, so binary search works. *)
   if not (unregulated 1) then None

@@ -25,8 +25,8 @@ let verdict_rank = function Unregulated -> 0 | Nac -> 1 | License -> 2
 let compare_verdict a b = compare (verdict_rank a) (verdict_rank b)
 
 let verdict_to_string = function
-  | Unregulated -> "Unregulated"
-  | Nac -> "NAC"
+  | Unregulated -> "Not Applicable"
+  | Nac -> "NAC Eligible"
   | License -> "License Required"
 
 let market_to_string = function
@@ -132,9 +132,8 @@ let measure s = function
   | Die_area_mm2 -> Some s.spec.Spec.die_area_mm2
   | Bw_density_gb_s_mm2 ->
       (* The HBM control meters the memory system; subjects that don't
-         report memory bandwidth (bare specs, the [Hbm_2024] wrapper's
-         density-over-1mm2 encoding) fall back to the spec's device
-         bandwidth as the carrier. *)
+         report memory bandwidth (bare specs) fall back to the spec's
+         device bandwidth as the carrier. *)
       let bw =
         match s.memory_bw_tb_s with
         | Some tb -> tb *. 1000.
@@ -275,26 +274,52 @@ let active_at d t =
   | None -> true
   | Some e -> compare_date e d <= 0
 
-let threshold ?verdict t q =
+(* Every bound on [q] in the rules (optionally only rules carrying
+   [verdict]), paired with whether it sits under an even number of
+   negations. *)
+let bounds ?verdict t q =
   let rec atoms pos p acc =
     match p with
     | At_least (q', v) | Above (q', v) ->
-        if pos && q' = q then v :: acc else acc
+        if q' = q then (pos, v) :: acc else acc
     | All_of ps | Any_of ps ->
         List.fold_left (fun acc p -> atoms pos p acc) acc ps
     | Not p -> atoms (not pos) p acc
   in
-  let bounds =
-    List.fold_left
-      (fun acc r ->
-        match verdict with
-        | Some v when r.verdict <> v -> acc
-        | _ -> atoms true r.requires acc)
-      [] t.rules
-  in
-  match bounds with
+  List.fold_left
+    (fun acc r ->
+      match verdict with
+      | Some v when r.verdict <> v -> acc
+      | _ -> atoms true r.requires acc)
+    [] t.rules
+
+let threshold ?verdict t q =
+  let positive (pos, v) = if pos then Some v else None in
+  match List.filter_map positive (bounds ?verdict t q) with
   | [] -> None
   | l -> Some (List.fold_left min infinity l)
+
+let area_floor t ~tpp =
+  (* A data-center part of [tpp] at density [pd]; at TPP 0 every area
+     has PD 0. *)
+  let regulated_at pd =
+    let die_area_mm2 = if tpp > 0. then tpp /. pd else 1. in
+    regulated t (of_spec (Spec.make ~tpp ~device_bw_gb_s:0. ~die_area_mm2 ()))
+  in
+  let floor_at lo = if lo = 0. then None else Some (tpp /. lo) in
+  (* The verdict is constant strictly inside each interval between
+     consecutive bounds: judge one point per interval, from PD -> 0 (the
+     largest areas) up, and stop at the first regulated one. *)
+  let rec scan lo = function
+    | hi :: rest ->
+        if regulated_at ((lo +. hi) /. 2.) then floor_at lo else scan hi rest
+    | [] -> if regulated_at ((2. *. lo) +. 1.) then floor_at lo else Some 0.
+  in
+  (* Bounds of either polarity are where the verdict can change. *)
+  bounds t Performance_density
+  |> List.filter_map (fun (_, v) -> if v > 0. then Some v else None)
+  |> List.sort_uniq Float.compare
+  |> scan 0.
 
 let tighten ~factor t =
   if not (Float.is_finite factor) || factor <= 0. || factor > 1. then

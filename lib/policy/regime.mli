@@ -14,9 +14,11 @@
 
     Regimes are pure data — no closures — so structural equality,
     hashing, and the JSON codec ({!to_json}/{!of_json}, exact
-    round-trip) all apply. The legacy modules ({!Acr_2022}, {!Acr_2023},
-    {!Hbm_2024}) are thin wrappers over the registry values below;
-    bit-identity over the device DB is enforced by the test suite. *)
+    round-trip) all apply. The registry values below are the only place
+    the published rules are written down: every verdict the library
+    reports is {!verdict} over one of them, and {!verdict_to_string} is
+    the one label vocabulary. The test suite pins them against inline
+    transcriptions of the historical rules. *)
 
 (** {2 Dates} *)
 
@@ -39,7 +41,11 @@ type verdict = Unregulated | Nac | License
     but short of a hard license requirement. *)
 
 val compare_verdict : verdict -> verdict -> int
+
 val verdict_to_string : verdict -> string
+(** The paper's Table 1 wording: "Not Applicable", "NAC Eligible",
+    "License Required". *)
+
 val market_to_string : market -> string
 
 (** {2 Quantities and subjects} *)
@@ -193,6 +199,15 @@ val threshold : ?verdict:verdict -> t -> quantity -> float option
     rules (optionally only rules carrying [verdict]) — "where does this
     regime start caring about this quantity". [None] when no rule
     predicates on it. *)
+
+val area_floor : t -> tpp:float -> float option
+(** The Fig. 2 area floor: the smallest die area above which a
+    data-center part of this TPP is unregulated, judged on TPP and area
+    alone (a {!of_spec} subject with no device bandwidth). It is the TPP
+    over the lowest performance-density bound above which the verdict
+    turns regulated, so the bound is exclusive. [None] when even PD -> 0
+    is regulated (no area suffices); [Some 0.] when no PD is. Raises
+    [Invalid_argument] on a negative or non-finite TPP. *)
 
 val tighten : factor:float -> t -> t
 (** Scale every threshold toward zero by [factor] in (0, 1] (bounds

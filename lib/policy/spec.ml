@@ -6,9 +6,13 @@ type t = {
 }
 
 let make ?(non_planar = true) ~tpp ~device_bw_gb_s ~die_area_mm2 () =
-  if tpp < 0. then invalid_arg "Spec.make: negative TPP";
-  if device_bw_gb_s < 0. then invalid_arg "Spec.make: negative bandwidth";
-  if die_area_mm2 <= 0. then invalid_arg "Spec.make: area must be positive";
+  (* Written so NaN fails every check. *)
+  if not (Float.is_finite tpp && tpp >= 0.) then
+    invalid_arg "Spec.make: TPP must be finite and non-negative";
+  if not (Float.is_finite device_bw_gb_s && device_bw_gb_s >= 0.) then
+    invalid_arg "Spec.make: bandwidth must be finite and non-negative";
+  if not (Float.is_finite die_area_mm2 && die_area_mm2 > 0.) then
+    invalid_arg "Spec.make: area must be finite and positive";
   { tpp; device_bw_gb_s; die_area_mm2; non_planar }
 
 let performance_density t =

@@ -19,8 +19,9 @@ val make :
   die_area_mm2:float ->
   unit ->
   t
-(** Raises [Invalid_argument] on negative TPP/bandwidth or non-positive
-    area. [non_planar] defaults to true (every device we study is FinFET
+(** Raises [Invalid_argument] on a negative or non-finite (NaN,
+    infinite) TPP or bandwidth, and on a non-positive or non-finite area.
+    [non_planar] defaults to true (every device we study is FinFET
     class). *)
 
 val performance_density : t -> float

@@ -67,12 +67,12 @@ val ruling_of_verdict : Regime.verdict -> ruling
 (** The 1:1 mapping between DSL verdicts and timeline rulings. *)
 
 val classify_at :
-  date -> market:Acr_2023.market -> Spec.t -> ruling
+  date -> market:Regime.market -> Spec.t -> ruling
 (** The device's status under the regime in force at [date] (evaluated
     through {!default_schedule}). The market segment is ignored by the
     earlier regimes. *)
 
 val history :
-  market:Acr_2023.market -> Spec.t -> (regime * ruling) list
+  market:Regime.market -> Spec.t -> (regime * ruling) list
 (** The device's status under each successive regime - how the
     cat-and-mouse game looked from one product's perspective. *)

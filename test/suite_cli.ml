@@ -18,7 +18,21 @@ let t_errors () =
   Alcotest.(check bool) "unknown model fails" true
     (run [ "simulate"; "--model"; "GPT-9" ] <> 0);
   Alcotest.(check bool) "unknown --like fails" true
-    (run [ "simulate"; "--like"; "RTX 9999" ] <> 0)
+    (run [ "simulate"; "--like"; "RTX 9999" ] <> 0);
+  (* Non-finite and out-of-range policy inputs are command-line errors,
+     not verdicts or uncaught exceptions. *)
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (String.concat " " args) Cmdliner.Cmd.Exit.cli_error
+        (run args))
+    [
+      [ "classify"; "--tpp"; "nan"; "--area"; "800" ];
+      [ "classify"; "--tpp"; "100"; "--area"; "nan" ];
+      [ "classify"; "--tpp"; "100"; "--area"; "0" ];
+      [ "package"; "--die-area"; "nan" ];
+      [ "package"; "--dies"; "0" ];
+      [ "package"; "--die-tpp"; "inf" ];
+    ]
 
 let t_scenarios_errors () =
   Alcotest.(check bool) "unknown --dump fails" true

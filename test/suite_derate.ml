@@ -9,12 +9,20 @@ let flagship =
     ~interconnect:(Interconnect.of_total_gb_s 900.)
     ()
 
+(* Verdicts on the device's spec alone, data-center market. *)
+let regulated_2022 d =
+  Regime.regulated Regime.acr_2022 (Regime.of_spec (Spec.of_device d))
+
+let regulated_2023 ~area_mm2 d =
+  Regime.regulated Regime.acr_2023
+    (Regime.of_spec (Spec.of_device ~area_mm2 d))
+
 let t_cap_interconnect () =
   let d = Derate.apply (Derate.Cap_interconnect 400.) flagship in
   check_close "bw capped" 400. (Device.device_bandwidth_gb_s d);
   check_close "tpp unchanged" (Device.tpp flagship) (Device.tpp d);
   Alcotest.(check bool) "escapes oct 2022" true
-    (Acr_2022.classify (Spec.of_device d) = Acr_2022.Not_applicable);
+    (not (regulated_2022 d));
   check_raises_invalid "cap above current" (fun () ->
       ignore (Derate.apply (Derate.Cap_interconnect 1000.) flagship))
 
@@ -40,7 +48,7 @@ let t_compliant_2022_escapes () =
       Alcotest.(check bool)
         (Derate.strategy_to_string strategy ^ " escapes")
         true
-        (Acr_2022.classify (Spec.of_device d) = Acr_2022.Not_applicable))
+        (not (regulated_2022 d)))
     escapes;
   (* An already-unregulated device needs no derating. *)
   let small = Derate.apply (Derate.Cap_tpp 2000.) flagship in
@@ -51,14 +59,11 @@ let t_best_2023_core_cut () =
   match Derate.best_2023_core_cut ~die_area_mm2:area flagship with
   | None -> Alcotest.fail "a core cut must exist"
   | Some d ->
-      let spec = Spec.of_device ~area_mm2:area d in
       Alcotest.(check bool) "unregulated" true
-        (Acr_2023.classify Acr_2023.Data_center spec = Acr_2023.Not_applicable);
+        (not (regulated_2023 ~area_mm2:area d));
       (* Maximality: one more core would be regulated. *)
       let plus = { d with Device.core_count = d.Device.core_count + 1 } in
-      let spec' = Spec.of_device ~area_mm2:area plus in
-      Alcotest.(check bool) "maximal" true
-        (Acr_2023.classify Acr_2023.Data_center spec' <> Acr_2023.Not_applicable)
+      Alcotest.(check bool) "maximal" true (regulated_2023 ~area_mm2:area plus)
 
 let t_best_2023_none () =
   (* A tiny die cannot be made compliant at any core count once even one
@@ -86,10 +91,7 @@ let prop_core_cut_unregulated =
       let area = Area_model.total_mm2 d in
       match Derate.best_2023_core_cut ~die_area_mm2:area d with
       | None -> true
-      | Some cut ->
-          Acr_2023.classify Acr_2023.Data_center
-            (Spec.of_device ~area_mm2:area cut)
-          = Acr_2023.Not_applicable)
+      | Some cut -> not (regulated_2023 ~area_mm2:area cut))
 
 let suite =
   [

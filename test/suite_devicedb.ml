@@ -41,17 +41,20 @@ let t_known_pd_values () =
   check_within "MI210 pd" ~tolerance:0.01 3.76 (pd "MI210");
   check_within "RTX 4090 pd" ~tolerance:0.01 8.68 (pd "RTX 4090")
 
-let classification_2022 name expected =
+let classification regime name expected =
   let g = Option.get (Database.find name) in
-  let actual = Gpu.classify_2022 g in
+  let actual = Gpu.verdict regime g in
   if actual <> expected then
-    Alcotest.failf "%s: oct-2022 %s, expected %s" name
-      (Acr_2022.classification_to_string actual)
-      (Acr_2022.classification_to_string expected)
+    Alcotest.failf "%s: %s %s, expected %s" name regime.Regime.name
+      (Regime.verdict_to_string actual)
+      (Regime.verdict_to_string expected)
+
+let classification_2022 = classification Regime.acr_2022
+let classification_2023 = classification Regime.acr_2023
 
 let t_fig1a () =
   (* Figure 1a: license-required vs not-applicable under October 2022. *)
-  let lic = Acr_2022.License_required and na = Acr_2022.Not_applicable in
+  let lic = Regime.License and na = Regime.Unregulated in
   classification_2022 "H100" lic;
   classification_2022 "A100" lic;
   classification_2022 "MI250X" lic;
@@ -62,19 +65,9 @@ let t_fig1a () =
   classification_2022 "H20" na;
   classification_2022 "MI210" na
 
-let classification_2023 name expected =
-  let g = Option.get (Database.find name) in
-  let actual = Gpu.classify_2023 g in
-  if actual <> expected then
-    Alcotest.failf "%s: oct-2023 %s, expected %s" name
-      (Acr_2023.tier_to_string actual)
-      (Acr_2023.tier_to_string expected)
-
 let t_fig1b () =
   (* Figure 1b: tiers under October 2023. *)
-  let lic = Acr_2023.License_required
-  and nac = Acr_2023.Nac_eligible
-  and na = Acr_2023.Not_applicable in
+  let lic = Regime.License and nac = Regime.Nac and na = Regime.Unregulated in
   classification_2023 "H100" lic;
   classification_2023 "H800" lic;
   classification_2023 "A100" lic;
@@ -99,15 +92,15 @@ let t_segments () =
   let g4090 = Option.get (Database.find "RTX 4090") in
   Alcotest.(check bool) "4090 consumer" true (g4090.Gpu.segment = Gpu.Consumer);
   Alcotest.(check bool) "marketing market" true
-    (Gpu.marketing_market g4090 = Acr_2023.Non_data_center)
+    (Gpu.marketing_market g4090 = Regime.Non_data_center)
 
 let t_arch_market () =
   let h100 = Option.get (Database.find "H100") in
   Alcotest.(check bool) "H100 arch DC" true
-    (Gpu.architectural_market h100 = Acr_2023.Data_center);
+    (Gpu.architectural_market h100 = Regime.Data_center);
   let l4 = Option.get (Database.find "L4") in
   Alcotest.(check bool) "L4 arch NDC" true
-    (Gpu.architectural_market l4 = Acr_2023.Non_data_center)
+    (Gpu.architectural_market l4 = Regime.Non_data_center)
 
 let t_filters () =
   let nv = Database.by_vendor Gpu.Nvidia Database.survey in
@@ -121,16 +114,6 @@ let t_filters () =
 let t_flagships () =
   Alcotest.(check int) "fig 1a set" 9 (List.length Database.flagships_2022);
   Alcotest.(check int) "fig 1b set" 13 (List.length Database.flagships_2023)
-
-let t_hbm_rule_on_h20 () =
-  (* The H20's HBM installed in the device is exempt from the Dec 2024
-     rule even though its density is high. *)
-  let h20 = Option.get (Database.find "H20") in
-  let c =
-    Hbm_2024.classify ~installed_in_device:true
-      ~bandwidth_gb_s:h20.Gpu.memory_bw_gb_s ~package_area_mm2:800. ()
-  in
-  Alcotest.(check bool) "installed exempt" true (c = Hbm_2024.Not_controlled)
 
 let t_to_template () =
   let check_name name =
@@ -175,5 +158,4 @@ let suite =
     test "architectural market" t_arch_market;
     test "filters" t_filters;
     test "flagship sets" t_flagships;
-    test "hbm rule on installed memory" t_hbm_rule_on_h20;
   ]

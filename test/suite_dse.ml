@@ -51,7 +51,7 @@ let t_design_fields () =
         (d.Design.within_reticle = (d.Design.area_mm2 <= 860.));
       (* Every oct-2022 design was generated under the TPP threshold, so
          none can require a license under that rule. *)
-      Alcotest.(check bool) "2022 compliant" true (Design.compliant_2022 d))
+      Alcotest.(check bool) "2022 compliant" true (Design.compliant Regime.acr_2022 d))
     (Lazy.force eval_few)
 
 let t_cost_products () =

@@ -34,22 +34,22 @@ let t_fig9_rebranding_semantics () =
       Alcotest.(check bool)
         (g.Gpu.name ^ " regulated now")
         true
-        (Gpu.classify_2023 g <> Acr_2023.Not_applicable);
+        (Gpu.verdict Regime.acr_2023 g <> Regime.Unregulated);
       Alcotest.(check bool)
         (g.Gpu.name ^ " free rebranded")
         true
-        (Marketing.rebranded_tier g = Acr_2023.Not_applicable))
+        (Marketing.rebranded_tier g = Regime.Unregulated))
     a.Marketing.false_dc;
   List.iter
     (fun g ->
       Alcotest.(check bool)
         (g.Gpu.name ^ " free now")
         true
-        (Gpu.classify_2023 g = Acr_2023.Not_applicable);
+        (Gpu.verdict Regime.acr_2023 g = Regime.Unregulated);
       Alcotest.(check bool)
         (g.Gpu.name ^ " regulated rebranded")
         true
-        (Marketing.rebranded_tier g <> Acr_2023.Not_applicable))
+        (Marketing.rebranded_tier g <> Regime.Unregulated))
     a.Marketing.false_ndc
 
 let t_fig10_counts () =

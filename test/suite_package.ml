@@ -55,6 +55,10 @@ let t_validation () =
   let d = die 1200. in
   check_raises_invalid "zero dies" (fun () ->
       ignore (Package.make ~compute_die:d ~compute_die_area_mm2:400. ~compute_dies:0 ()));
+  check_raises_invalid "nan die area" (fun () ->
+      ignore
+        (Package.make ~compute_die:d ~compute_die_area_mm2:Float.nan
+           ~compute_dies:2 ()));
   check_raises_invalid "reticle-busting chiplet" (fun () ->
       ignore (Package.make ~compute_die:d ~compute_die_area_mm2:900. ~compute_dies:2 ()));
   check_raises_invalid "bad io" (fun () ->
@@ -80,7 +84,7 @@ let t_escape_via_area () =
   in
   check_between "tpp near 4796" 4700. 4799.9 (Package.total_tpp pkg);
   Alcotest.(check bool) "unregulated" true
-    (Acr_2023.classify Acr_2023.Data_center spec = Acr_2023.Not_applicable);
+    (Regime.verdict Regime.acr_2023 (Regime.of_spec spec) = Regime.Unregulated);
   (* The same silicon as one die is not manufacturable. *)
   Alcotest.(check bool) "monolithic impossible" true
     (Package.monolithic_equivalent_area pkg > Presets.reticle_limit_mm2);
@@ -90,7 +94,7 @@ let t_escape_via_area () =
   check_close "of_package area" (Package.total_area_mm2 pkg)
     auto.Spec.die_area_mm2;
   Alcotest.(check bool) "same classification" true
-    (Acr_2023.classify Acr_2023.Data_center auto = Acr_2023.Not_applicable)
+    (Regime.verdict Regime.acr_2023 (Regime.of_spec auto) = Regime.Unregulated)
 
 (* Package cost. *)
 

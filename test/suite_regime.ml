@@ -1,11 +1,10 @@
 (* The sanction-regime DSL: predicate semantics, bit-identity of the
-   legacy classifiers against the registry values (the refactor's safety
-   net), JSON round-trips, tightening monotonicity, and evaluation
-   scope.
+   registry values against the historical rules, JSON round-trips,
+   tightening monotonicity, and evaluation scope.
 
-   The bit-identity tests transcribe the ORIGINAL legacy decision logic
-   inline (thresholds and all); if someone edits a registry value, these
-   fail even though the legacy modules now route through the DSL. *)
+   The bit-identity tests transcribe the ORIGINAL decision logic of each
+   rule inline (thresholds and all); if someone edits a registry value,
+   these fail. *)
 
 open Core
 open Helpers
@@ -70,20 +69,15 @@ let t_identity_acr2022 () =
   (* Original logic: license iff TPP >= 4800 and device BW >= 600. *)
   let legacy (s : Spec.t) =
     if s.Spec.tpp >= 4800. && s.Spec.device_bw_gb_s >= 600. then
-      Acr_2022.License_required
-    else Acr_2022.Not_applicable
+      Regime.License
+    else Regime.Unregulated
   in
   List.iter
     (fun g ->
       let s = Gpu.spec g in
-      let expect = legacy s in
-      Alcotest.(check bool)
-        (g.Gpu.name ^ " wrapper") true
-        (Acr_2022.classify s = expect);
-      let dsl = Regime.verdict Regime.acr_2022 (Regime.of_spec s) in
       Alcotest.(check bool)
         (g.Gpu.name ^ " dsl") true
-        ((dsl = Regime.License) = (expect = Acr_2022.License_required)))
+        (Regime.verdict Regime.acr_2022 (Regime.of_spec s) = legacy s))
     Database.all;
   (* Boundary points the device DB might miss. *)
   List.iter
@@ -101,28 +95,30 @@ let t_identity_acr2022 () =
 (* --- bit-identity: October 2023, both markets --- *)
 
 let t_identity_acr2023 () =
-  (* Original chain, thresholds inline: see the pre-refactor
-     Acr_2023.classify. *)
+  (* Original chain, thresholds inline. *)
   let legacy market (s : Spec.t) =
     let tpp = s.Spec.tpp in
     let pd = Spec.performance_density s in
     match market with
     | Regime.Non_data_center ->
-        if tpp >= 4800. then Acr_2023.Nac_eligible else Acr_2023.Not_applicable
+        if tpp >= 4800. then Regime.Nac else Regime.Unregulated
     | Regime.Data_center ->
-        if tpp >= 4800. || (tpp >= 1600. && pd >= 5.92) then
-          Acr_2023.License_required
+        if tpp >= 4800. || (tpp >= 1600. && pd >= 5.92) then Regime.License
         else if
           (tpp >= 2400. && pd >= 1.6 && pd < 5.92)
           || (tpp >= 1600. && pd >= 3.2 && pd < 5.92)
-        then Acr_2023.Nac_eligible
-        else Acr_2023.Not_applicable
+        then Regime.Nac
+        else Regime.Unregulated
   in
-  let tier_of_verdict = function
-    | Regime.Unregulated -> Acr_2023.Not_applicable
-    | Regime.Nac -> Acr_2023.Nac_eligible
-    | Regime.License -> Acr_2023.License_required
+  (* The original Fig. 2 area floor: TPP over the PD line of the first
+     data-center tier the TPP reaches. *)
+  let legacy_floor tpp =
+    if tpp >= 4800. then None
+    else if tpp >= 2400. then Some (tpp /. 1.6)
+    else if tpp >= 1600. then Some (tpp /. 3.2)
+    else Some 0.
   in
+  let crossings = [ 1599.; 1600.; 2399.; 2400.; 4799.; 4800.; 15000. ] in
   let specs =
     List.map Gpu.spec Database.all
     (* A planar + synthetic grid around every threshold crossing. *)
@@ -132,7 +128,7 @@ let t_identity_acr2023 () =
           List.map
             (fun area -> spec ~area tpp 600.)
             [ 100.; 270.; 500.; 755.; 1000.; 1500.; 3001. ])
-        [ 1599.; 1600.; 2399.; 2400.; 4799.; 4800.; 15000. ]
+        crossings
   in
   List.iter
     (fun s ->
@@ -143,30 +139,41 @@ let t_identity_acr2023 () =
               s.Spec.die_area_mm2
               (Regime.market_to_string market)
           in
-          let expect = legacy market s in
-          Alcotest.(check bool) (name ^ " wrapper") true
-            (Acr_2023.classify market s = expect);
           Alcotest.(check bool) (name ^ " dsl") true
-            (tier_of_verdict
-               (Regime.verdict ~market Regime.acr_2023 (Regime.of_spec s))
-            = expect))
+            (Regime.verdict ~market Regime.acr_2023 (Regime.of_spec s)
+            = legacy market s))
         [ Regime.Data_center; Regime.Non_data_center ])
-    specs
+    specs;
+  List.iter
+    (fun tpp ->
+      let bits = Option.map Int64.bits_of_float in
+      Alcotest.(check bool)
+        (Printf.sprintf "area floor at tpp=%.0f" tpp)
+        true
+        (bits (Regime.area_floor Regime.acr_2023 ~tpp) = bits (legacy_floor tpp)))
+    (crossings @ List.init 201 (fun i -> 100. *. float_of_int i))
 
 (* --- bit-identity: December 2024 HBM --- *)
 
 let t_identity_hbm () =
   let legacy d =
-    if d <= 2.0 then Hbm_2024.Not_controlled
-    else if d < 3.3 then Hbm_2024.Controlled_exception_eligible
-    else Hbm_2024.Controlled
+    if d <= 2.0 then Regime.Unregulated
+    else if d < 3.3 then Regime.Nac
+    else Regime.License
   in
   List.iter
     (fun d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "density %.5f" d)
-        true
-        (Hbm_2024.classify_density d = legacy d))
+      (* Density [d] as [d] GB/s of memory bandwidth over 1 mm^2; the
+         regime must measure exactly [d]. *)
+      let subject =
+        Regime.subject ~memory_bw_tb_s:(d /. 1000.)
+          (Spec.make ~tpp:0. ~device_bw_gb_s:0. ~die_area_mm2:1. ())
+      in
+      let name = Printf.sprintf "density %.5f" d in
+      Alcotest.(check bool) (name ^ " measured") true
+        (Regime.measure subject Regime.Bw_density_gb_s_mm2 = Some d);
+      Alcotest.(check bool) name true
+        (Regime.verdict Regime.hbm_2024 subject = legacy d))
     [ -1.; 0.; 1.99; 2.0; 2.00001; 2.78; 3.29; 3.2999; 3.3; 3.31; 11.17 ];
   (* The regime sees real packages through memory bandwidth over area. *)
   let v bw area =
@@ -237,7 +244,7 @@ let t_timeline_boundaries () =
   let a100 = spec ~area:826. 4992. 600. in
   let check_at y m expect =
     let d = Timeline.date y m in
-    let ruling = Timeline.classify_at d ~market:Acr_2023.Data_center a100 in
+    let ruling = Timeline.classify_at d ~market:Regime.Data_center a100 in
     Alcotest.(check string)
       (Printf.sprintf "%d-%02d" y m)
       expect

@@ -42,7 +42,8 @@ let t_compliance_regimes () =
   let fig6 = Option.get (Scenario.find "fig6-gpt3") in
   let fig7 = Option.get (Scenario.find "fig7-gpt3") in
   let d = List.hd (Eval.run fig6) in
-  Alcotest.(check bool) "oct2022 regime uses 2022 rule" (Design.compliant_2022 d)
+  Alcotest.(check bool) "oct2022 regime uses 2022 rule"
+    (Design.compliant Regime.acr_2022 d)
     (Scenario.compliant fig6 d);
   Alcotest.(check bool) "oct2023 regime uses 2023 rule" (Design.compliant_2023 d)
     (Scenario.compliant fig7 d);

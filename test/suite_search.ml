@@ -3,7 +3,7 @@ open Helpers
 
 let sweep = Space.oct2022
 let model = Model.llama3_8b
-let feasible d = Design.compliant_2022 d && Design.manufacturable d
+let feasible d = Design.compliant Regime.acr_2022 d && Design.manufacturable d
 let objective d = d.Design.tbt_s
 
 let center =

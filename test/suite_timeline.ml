@@ -19,7 +19,7 @@ let t_regimes () =
 let t_a800_cat_and_mouse () =
   (* The A800 existed to escape October 2022 and was recaptured a year
      later - the paper's Sec. 2.2 story, as a timeline. *)
-  let market = Acr_2023.Data_center in
+  let market = Regime.Data_center in
   let spec = spec_of "A800" in
   Alcotest.(check bool) "free before rules" true
     (Timeline.classify_at (Timeline.date 2022 8) ~market spec = Timeline.Unregulated);
@@ -29,7 +29,7 @@ let t_a800_cat_and_mouse () =
     (Timeline.classify_at (Timeline.date 2024 1) ~market spec = Timeline.License)
 
 let t_history () =
-  let h = Timeline.history ~market:Acr_2023.Data_center (spec_of "A100") in
+  let h = Timeline.history ~market:Regime.Data_center (spec_of "A100") in
   Alcotest.(check int) "three regimes" 3 (List.length h);
   Alcotest.(check bool) "pre-acr free" true
     (List.assoc Timeline.Pre_acr h = Timeline.Unregulated);
@@ -37,7 +37,7 @@ let t_history () =
     (List.assoc Timeline.Acr_oct_2022 h = Timeline.License
     && List.assoc Timeline.Acr_oct_2023 h = Timeline.License);
   (* MI210: unregulated until October 2023, then NAC. *)
-  let mi210 = Timeline.history ~market:Acr_2023.Data_center (spec_of "MI210") in
+  let mi210 = Timeline.history ~market:Regime.Data_center (spec_of "MI210") in
   Alcotest.(check bool) "mi210 nac in 2023" true
     (List.assoc Timeline.Acr_oct_2022 mi210 = Timeline.Unregulated
     && List.assoc Timeline.Acr_oct_2023 mi210 = Timeline.Nac_notification)
@@ -46,12 +46,12 @@ let t_market_matters_only_in_2023 () =
   let spec = spec_of "RTX 4090" in
   let at market = Timeline.classify_at (Timeline.date 2024 1) ~market spec in
   Alcotest.(check bool) "consumer NAC" true
-    (at Acr_2023.Non_data_center = Timeline.Nac_notification);
+    (at Regime.Non_data_center = Timeline.Nac_notification);
   Alcotest.(check bool) "as DC licensed" true
-    (at Acr_2023.Data_center = Timeline.License);
+    (at Regime.Data_center = Timeline.License);
   Alcotest.(check bool) "2022 ignores market" true
-    (Timeline.classify_at (Timeline.date 2023 1) ~market:Acr_2023.Data_center spec
-    = Timeline.classify_at (Timeline.date 2023 1) ~market:Acr_2023.Non_data_center spec)
+    (Timeline.classify_at (Timeline.date 2023 1) ~market:Regime.Data_center spec
+    = Timeline.classify_at (Timeline.date 2023 1) ~market:Regime.Non_data_center spec)
 
 let suite =
   [
