@@ -6,6 +6,25 @@ open Core
 
 (* --- shared argument converters --- *)
 
+(* Typed numeric flags: a value outside the domain is a usage error
+   (exit 124) before it reaches [Device.make] or the models, which would
+   otherwise print nan or raise. *)
+let checked conv ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ | Error _ ->
+        Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s expected))
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = checked Arg.int (fun n -> n > 0) "a positive integer"
+
+let pos_float =
+  checked Arg.float
+    (fun x -> Float.is_finite x && x > 0.)
+    "a finite positive number"
+
 let model_conv =
   let parse s =
     match Model.find_preset s with
@@ -37,25 +56,29 @@ let device_args =
              ~doc:"Approximate a real product from the database (e.g. 'H20') \
                    instead of specifying template parameters.")
   in
-  let cores = Arg.(value & opt int 108 & info [ "cores" ] ~doc:"Core count.") in
-  let lanes = Arg.(value & opt int 4 & info [ "lanes" ] ~doc:"Lanes per core.") in
-  let dim = Arg.(value & opt int 16 & info [ "systolic" ] ~doc:"Systolic array dimension (square).") in
-  let l1 = Arg.(value & opt float 192. & info [ "l1" ] ~doc:"L1 per core, KB.") in
-  let l2 = Arg.(value & opt float 40. & info [ "l2" ] ~doc:"Shared L2, MB.") in
-  let membw = Arg.(value & opt float 2. & info [ "membw" ] ~doc:"HBM bandwidth, TB/s.") in
-  let memgb = Arg.(value & opt float 80. & info [ "memgb" ] ~doc:"HBM capacity, GB.") in
-  let devbw = Arg.(value & opt float 600. & info [ "devbw" ] ~doc:"Device interconnect, GB/s.") in
+  let cores = Arg.(value & opt pos_int 108 & info [ "cores" ] ~doc:"Core count.") in
+  let lanes = Arg.(value & opt pos_int 4 & info [ "lanes" ] ~doc:"Lanes per core.") in
+  let dim = Arg.(value & opt pos_int 16 & info [ "systolic" ] ~doc:"Systolic array dimension (square).") in
+  let l1 = Arg.(value & opt pos_float 192. & info [ "l1" ] ~doc:"L1 per core, KB.") in
+  let l2 = Arg.(value & opt pos_float 40. & info [ "l2" ] ~doc:"Shared L2, MB.") in
+  let membw = Arg.(value & opt pos_float 2. & info [ "membw" ] ~doc:"HBM bandwidth, TB/s.") in
+  let memgb = Arg.(value & opt pos_float 80. & info [ "memgb" ] ~doc:"HBM capacity, GB.") in
+  let devbw = Arg.(value & opt pos_float 600. & info [ "devbw" ] ~doc:"Device interconnect, GB/s.") in
   let build like cores lanes dim l1 l2 membw memgb devbw =
     match like with
-    | Some gpu -> Gpu.to_template gpu
-    | None ->
-        Device.make ~name:"cli-device" ~core_count:cores ~lanes_per_core:lanes
-          ~systolic:(Systolic.square dim) ~l1_kb:l1 ~l2_mb:l2
-          ~memory:(Memory.make ~capacity_gb:memgb ~bandwidth_tb_s:membw)
-          ~interconnect:(Interconnect.of_total_gb_s devbw)
-          ()
+    | Some gpu -> `Ok (Gpu.to_template gpu)
+    | None -> (
+        match
+          Device.make ~name:"cli-device" ~core_count:cores ~lanes_per_core:lanes
+            ~systolic:(Systolic.square dim) ~l1_kb:l1 ~l2_mb:l2
+            ~memory:(Memory.make ~capacity_gb:memgb ~bandwidth_tb_s:membw)
+            ~interconnect:(Interconnect.of_total_gb_s devbw)
+            ()
+        with
+        | device -> `Ok device
+        | exception Invalid_argument msg -> `Error (false, msg))
   in
-  Term.(const build $ like $ cores $ lanes $ dim $ l1 $ l2 $ membw $ memgb $ devbw)
+  Term.(ret (const build $ like $ cores $ lanes $ dim $ l1 $ l2 $ membw $ memgb $ devbw))
 
 (* --- classify --- *)
 
@@ -120,7 +143,7 @@ let simulate_cmd =
   let input = Arg.(value & opt int 2048 & info [ "input" ] ~doc:"Input sequence length.") in
   let output = Arg.(value & opt int 1024 & info [ "output" ] ~doc:"Output sequence length.") in
   let report = Arg.(value & flag & info [ "report" ] ~doc:"Print per-operator bottleneck reports.") in
-  let run device model tp batch input output report =
+  let exec device model tp batch input output report =
     let request = Request.make ~batch ~input_len:input ~output_len:output in
     let r = Engine.simulate ~tp ~request device model in
     if report then
@@ -142,9 +165,14 @@ let simulate_cmd =
       (Cost_model.good_die_cost_usd ~process:Cost_model.n7 ~die_area_mm2:area ());
     classify_spec (Spec.of_device ~area_mm2:area device)
   in
+  let run device model tp batch input output report =
+    match exec device model tp batch input output report with
+    | () -> `Ok ()
+    | exception Invalid_argument msg -> `Error (false, msg)
+  in
   Cmd.v (Cmd.info "simulate" ~doc:"Simulate LLM inference on a template device.")
-    Term.(const run $ device_args $ model_arg $ tp $ batch $ input $ output
-          $ report)
+    Term.(ret (const run $ device_args $ model_arg $ tp $ batch $ input $ output
+               $ report))
 
 (* --- dse --- *)
 

@@ -124,7 +124,7 @@ module Ptable = Hashtbl.Make (struct
   type t = Space.params
 
   let equal = Space.params_equal
-  let hash = Space.params_hash
+  let hash p = Space.mix (Space.params_hash p)
 end)
 
 type ctx = {

@@ -17,10 +17,11 @@ let m_eval_seconds =
 (* The memo cache is keyed per design point: the sweep's shared context
    (a {!Scenario.t}; [Scenario.context_equal] ignores name, description,
    regime and the target) paired with the raw point [params]. The hash is
-   computed once per point - [Scenario.point_hash] over a context hash
-   computed once per sweep - stored in the key, and reused by lookup,
-   shard selection and insertion; building a full per-point scenario
-   value, as the first cut of this cache did, is no longer needed.
+   computed once per point - [Scenario.point_hash], finalized so that its
+   low bits spread, over a context hash computed once per sweep - stored
+   in the key, and reused by lookup, shard selection and insertion;
+   building a full per-point scenario value, as the first cut of this
+   cache did, is no longer needed.
    Equality and hashing keep the documented nan/-0. float semantics of
    [Scenario.Key] (under the polymorphic [(=)], a nan-bearing key - e.g.
    a probing sweep with [memory_gb = nan] - would never hit). *)

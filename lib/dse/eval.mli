@@ -19,7 +19,17 @@
     nan/-0. float semantics of {!Scenario.equal}. The table is sharded 16
     ways on the high hash bits, each shard behind its own mutex, so
     concurrent domains probing a warm cache do not serialize on a global
-    lock; it stays safe to share between domains. *)
+    lock; it stays safe to share between domains.
+
+    The key hash is finalized ({!Space.mix}). [Hashtbl] picks a bucket
+    from the low bits, and the raw structural hash barely varies there:
+    its [h * 31 + x] steps only carry bits upward, and the sweeps' float
+    axis values have all-zero low mantissa bits. Unfinalized, a
+    registry round's 14,832 distinct keys took 112 distinct low-16-bit
+    values, so a lookup walked a chain of ~130 keys; finalized they take
+    13,123, about what a random function gives. The disk tier's file
+    names use the raw {!Scenario.context_hash} and
+    {!Space.params_hash}, which are unchanged. *)
 
 type stats = {
   lookups : int;  (** cache probes *)

@@ -163,9 +163,13 @@ let context_hash t =
   <+> opt_hash request_hash t.request
   <+> opt_hash calib_hash t.calib
 
-let hash t = context_hash t <+> target_hash t.target
+(* [context_hash] stays raw (it names disk-cache files); the table
+   hashes are finalized by [Space.mix], as [Space.params_hash] is for
+   [Adaptive]. *)
+let hash t = Space.mix (context_hash t <+> target_hash t.target)
 
-let point_hash ~context_hash p = context_hash <+> (3 <+> Space.params_hash p)
+let point_hash ~context_hash p =
+  Space.mix (context_hash <+> (3 <+> Space.params_hash p))
 
 module Key = struct
   type nonrec t = t

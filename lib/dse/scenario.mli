@@ -80,7 +80,11 @@ val compliant : t -> Design.t -> bool
     consistent with [equal]. *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** A table hash: {!context_hash} with the target folded in, passed
+    through {!Space.mix} so that every bit of the key reaches the low
+    bits a [Hashtbl] buckets on. *)
 
 val context_equal : t -> t -> bool
 (** {!equal} without the target: the part of the key shared by every point
@@ -88,13 +92,17 @@ val context_equal : t -> t -> bool
     equality. *)
 
 val context_hash : t -> int
-(** {!hash} without the target folded in; [hash t] extends it with the
-    target, so a sweep's points can reuse one context hash. *)
+(** The raw hash of everything but the target. {!hash} and {!point_hash}
+    extend it with the target before finalizing, so a sweep's points can
+    reuse one context hash. Not finalized: {!Disk_cache} names its files
+    with it, so its value is part of the on-disk format. *)
 
 val point_hash : context_hash:int -> Space.params -> int
 (** [point_hash ~context_hash:(context_hash s) p
     = hash { s with target = Point p }], computed without allocating the
-    scenario - the [Eval] cache hashes sweep points this way. *)
+    scenario - the [Eval] memo keys sweep points with it. Finalized like
+    {!hash}: without {!Space.mix}, a sweep round's 14,832 distinct keys
+    fall into 112 distinct low-16-bit values. *)
 
 module Key : Hashtbl.HashedType with type t = t
 (** The above pair, packaged for [Hashtbl.Make]. *)

@@ -152,6 +152,13 @@ let float_hash f =
 
 let list_hash hash xs = List.fold_left (fun h x -> h <+> hash x) 23 xs
 
+(* splitmix64's steps on 63-bit ints; its multipliers are cut to 62
+   bits so that they fit an OCaml int, and stay odd. *)
+let mix h =
+  let h = (h lxor (h lsr 31)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  (h lxor (h lsr 31)) land max_int
+
 let params_equal (a : params) (b : params) =
   a.systolic_dim = b.systolic_dim
   && a.lanes = b.lanes

@@ -71,9 +71,23 @@ val enumerate : sweep -> params list
     consistent with the equalities. *)
 
 val params_equal : params -> params -> bool
+
 val params_hash : params -> int
+(** The raw structural hash. {!Disk_cache} names its files with it, so
+    its value is part of the on-disk format. In-memory tables bucket on
+    [mix (params_hash p)] instead. *)
+
 val sweep_equal : sweep -> sweep -> bool
 val sweep_hash : sweep -> int
+
+val mix : int -> int
+(** A splitmix64-style finalizer (xor-shifts and odd multiplies on
+    63-bit ints; non-negative result). The raw hashes above only carry
+    bits upward, and sweep axis values have all-zero low mantissa bits,
+    so their low bits, which [Hashtbl] buckets on, barely vary; [mix]
+    spreads every input bit over them. The [Eval] memo
+    ({!Scenario.point_hash}) and [Adaptive]'s per-search table hash
+    through it. *)
 
 val build : ?memory_gb:float -> tpp_target:float -> params -> Acs_hardware.Device.t
 (** Instantiate a device under the TPP target (strictly below it).

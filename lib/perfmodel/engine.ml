@@ -102,6 +102,12 @@ module Compiled = Acs_workload.Compiled
 let compile ?tp ?request model =
   Compiled.compile ?tp ?request ~bytes_per_value:Op_model.bytes_per_value model
 
+(* Closed ([leak] is a parameter) so that [@inline] applies and the op
+   loop below passes and gets unboxed floats; a local closure over
+   [leak] is a real call that boxes two arguments and its result. *)
+let[@inline] overlapped ~leak compute_s memory_s =
+  Float.max compute_s memory_s +. (leak *. Float.min compute_s memory_s)
+
 let compiled_phase_breakdown ~calib ~tp device (ph : Compiled.phase) =
   let peak_macs =
     float_of_int (Device.total_macs_per_cycle device)
@@ -130,49 +136,49 @@ let compiled_phase_breakdown ~calib ~tp device (ph : Compiled.phase) =
   and overhead = ref 0.
   and total = ref 0.
   and dram_bytes = ref 0. in
-  let overlapped compute_s memory_s =
-    Float.max compute_s memory_s +. (leak *. Float.min compute_s memory_s)
-  in
-  Array.iter
-    (fun op ->
-      match op with
-      | Compiled.Matmul mm ->
-          let compute_s =
-            mm.Compiled.macs /. peak_macs
-            /. Op_model.matmul_efficiency_in menv ~m:mm.Compiled.m
-                 ~n:mm.Compiled.n
-          in
-          let bytes =
-            Float.max mm.Compiled.compulsory_bytes
-              ((mm.Compiled.mac_bytes /. tile) +. mm.Compiled.out_bytes)
-          in
-          let ramp_bytes =
-            if mm.Compiled.weights_streamed then calib.Calib.dram_ramp_bytes
-            else 0.
-          in
-          let memory_s = (bytes +. ramp_bytes) /. bw in
-          compute := !compute +. compute_s;
-          memory := !memory +. memory_s;
-          overhead := !overhead +. overhead_s;
-          total := !total +. (overlapped compute_s memory_s +. overhead_s);
-          dram_bytes := !dram_bytes +. bytes
-      | Compiled.Elementwise ew ->
-          let compute_s = ew.flops /. vector_denom in
-          let memory_s = ew.bytes /. bw in
-          compute := !compute +. compute_s;
-          memory := !memory +. memory_s;
-          overhead := !overhead +. overhead_s;
-          total := !total +. (overlapped compute_s memory_s +. overhead_s);
-          dram_bytes := !dram_bytes +. ew.bytes
-      | Compiled.All_reduce c ->
-          let comm_s =
-            if tp <= 1 then 0.
-            else (steps_over_n *. c.bytes /. per_direction) +. ar_latency_s
-          in
-          comm := !comm +. comm_s;
-          overhead := !overhead +. overhead_s;
-          total := !total +. (comm_s +. overhead_s))
-    ph.Compiled.ops;
+  (* A [for] loop, not [Array.iter]: refs captured by a closure live in
+     the heap, and every update boxes a fresh float. Here they stay
+     unboxed, and a warm call allocates only its result. *)
+  let ops = ph.Compiled.ops in
+  for i = 0 to Array.length ops - 1 do
+    match ops.(i) with
+    | Compiled.Matmul mm ->
+        let compute_s =
+          mm.Compiled.macs /. peak_macs
+          /. Op_model.matmul_efficiency_in menv ~m:mm.Compiled.m
+               ~n:mm.Compiled.n
+        in
+        let bytes =
+          Float.max mm.Compiled.compulsory_bytes
+            ((mm.Compiled.mac_bytes /. tile) +. mm.Compiled.out_bytes)
+        in
+        let ramp_bytes =
+          if mm.Compiled.weights_streamed then calib.Calib.dram_ramp_bytes
+          else 0.
+        in
+        let memory_s = (bytes +. ramp_bytes) /. bw in
+        compute := !compute +. compute_s;
+        memory := !memory +. memory_s;
+        overhead := !overhead +. overhead_s;
+        total := !total +. (overlapped ~leak compute_s memory_s +. overhead_s);
+        dram_bytes := !dram_bytes +. bytes
+    | Compiled.Elementwise ew ->
+        let compute_s = ew.flops /. vector_denom in
+        let memory_s = ew.bytes /. bw in
+        compute := !compute +. compute_s;
+        memory := !memory +. memory_s;
+        overhead := !overhead +. overhead_s;
+        total := !total +. (overlapped ~leak compute_s memory_s +. overhead_s);
+        dram_bytes := !dram_bytes +. ew.bytes
+    | Compiled.All_reduce c ->
+        let comm_s =
+          if tp <= 1 then 0.
+          else (steps_over_n *. c.bytes /. per_direction) +. ar_latency_s
+        in
+        comm := !comm +. comm_s;
+        overhead := !overhead +. overhead_s;
+        total := !total +. (comm_s +. overhead_s)
+  done;
   ( {
       Op_model.compute_s = !compute;
       memory_s = !memory;

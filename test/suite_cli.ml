@@ -32,6 +32,21 @@ let t_errors () =
       [ "package"; "--die-area"; "nan" ];
       [ "package"; "--dies"; "0" ];
       [ "package"; "--die-tpp"; "inf" ];
+      (* the template-device flags shared by simulate, fps, serve, plan *)
+      [ "simulate"; "--membw"; "nan" ];
+      [ "simulate"; "--memgb"; "nan" ];
+      [ "fps"; "--membw"; "nan" ];
+      [ "plan"; "--membw"; "nan" ];
+      [ "simulate"; "--l1"; "nan" ];
+      [ "simulate"; "--cores"; "0" ];
+      [ "simulate"; "--lanes"; "0" ];
+      [ "simulate"; "--systolic"; "0" ];
+      [ "simulate"; "--devbw"; "nan" ];
+      [ "simulate"; "--memgb"; "0" ];
+      [ "simulate"; "--l2"; "inf" ];
+      [ "serve"; "--cores"; "0" ];
+      (* a die too large for the wafer, caught by the cost model *)
+      [ "simulate"; "--l2"; "100000" ];
     ]
 
 let t_scenarios_errors () =

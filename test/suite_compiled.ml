@@ -120,6 +120,38 @@ let t_sweep_identity () =
     "4 jobs == legacy sweep (bit-identical)" true
     (run 4 = ground)
 
+(* The op loop keeps its six float accumulators unboxed, so a warm call
+   allocates only its result: the two breakdowns, their tuples and the
+   result record (169 words). A closure over the ops array boxed a float
+   on every accumulator update: 713 words per call, on each context
+   below. *)
+let t_compiled_allocation () =
+  List.iter
+    (fun name ->
+      let s = Option.get (Scenario.find name) in
+      let compiled =
+        Engine.compile ?tp:s.Scenario.tp ?request:s.Scenario.request
+          s.Scenario.model
+      in
+      let p =
+        match s.Scenario.target with
+        | Scenario.Space sweep -> List.hd (Space.enumerate sweep)
+        | Scenario.Point p -> p
+      in
+      let device =
+        Space.build ?memory_gb:s.Scenario.memory_gb
+          ~tpp_target:s.Scenario.tpp_target p
+      in
+      ignore (Engine.simulate_compiled compiled device);
+      let before = Gc.minor_words () in
+      let r = Engine.simulate_compiled compiled device in
+      let words = Gc.minor_words () -. before in
+      ignore (Sys.opaque_identity r);
+      if words > 180. then
+        Alcotest.failf "%s: simulate_compiled allocated %.0f minor words" name
+          words)
+    [ "fig7-gpt3"; "fig6-llama3"; "fig12-gpt3" ]
+
 let suite =
   [
     prop_simulate_identity;
@@ -127,4 +159,5 @@ let suite =
     test "identity with tracing enabled" t_traced_identity;
     test "compile validates tp" t_compile_validates_tp;
     test "full-sweep identity, sequential and parallel" t_sweep_identity;
+    test "a warm call allocates only its result" t_compiled_allocation;
   ]

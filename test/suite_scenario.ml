@@ -218,6 +218,88 @@ let t_key_float_semantics () =
   Alcotest.(check int) "... and hash agrees" (Scenario.hash base)
     (Scenario.hash renamed)
 
+(* --- table-hash spread ---
+
+   [Hashtbl] buckets on the low bits of a key's hash. The raw
+   [h * 31 + x] combination carries bits only upward, and the sweeps'
+   float axis values have all-zero low mantissa bits, so without
+   [Space.mix] a registry round's 14,832 memo keys hash to 112 distinct
+   low-16-bit values (chains of ~130 keys), and 4,096 widened points to
+   400 low-12-bit values. A random function would give ~13,270 and
+   ~2,589. *)
+
+let distinct_low ~bits hashes =
+  let seen = Hashtbl.create 4096 in
+  List.iter (fun h -> Hashtbl.replace seen (h land ((1 lsl bits) - 1)) ()) hashes;
+  Hashtbl.length seen
+
+let t_memo_hash_spread () =
+  (* Every distinct (context, point) key of the enumerable registry
+     sweeps, hashed as [Eval]'s memo hashes it. *)
+  let contexts = ref [] and keys = Hashtbl.create 16384 in
+  List.iter
+    (fun (s : Scenario.t) ->
+      match s.Scenario.target with
+      | Scenario.Space sweep when Scenario.size s <= 1_000_000 ->
+          let ctx =
+            match
+              List.find_opt (fun c -> Scenario.context_equal c s) !contexts
+            with
+            | Some c -> c
+            | None ->
+                contexts := s :: !contexts;
+                s
+          in
+          let context_hash = Scenario.context_hash ctx in
+          List.iter
+            (fun p ->
+              Hashtbl.replace keys (context_hash, p)
+                (Scenario.point_hash ~context_hash p))
+            (Space.enumerate sweep)
+      | Scenario.Space _ | Scenario.Point _ -> ())
+    Scenario.registry;
+  let hashes = Hashtbl.fold (fun _ h acc -> h :: acc) keys [] in
+  let spread = distinct_low ~bits:16 hashes in
+  if spread < 12_000 then
+    Alcotest.failf "%d memo keys: only %d distinct low-16-bit hashes"
+      (List.length hashes) spread;
+  (* The documented equation still holds for a registry point. *)
+  let s = Option.get (Scenario.find "fig7-gpt3") in
+  let p =
+    match s.Scenario.target with
+    | Scenario.Space sweep -> List.nth (Space.enumerate sweep) 77
+    | Scenario.Point p -> p
+  in
+  Alcotest.(check int) "point_hash = hash of the point scenario"
+    (Scenario.hash { s with Scenario.target = Scenario.Point p })
+    (Scenario.point_hash ~context_hash:(Scenario.context_hash s) p)
+
+let t_widened_hash_spread () =
+  (* [Adaptive]'s per-search table hashes a point as
+     [Space.mix (Space.params_hash p)]. *)
+  let rng = Random.State.make [| 42 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let w = Space.widened in
+  let hashes =
+    List.init 4096 (fun _ ->
+        let p =
+          {
+            Space.systolic_dim = pick w.Space.systolic_dims;
+            lanes = pick w.Space.lanes_per_core;
+            l1 = pick w.Space.l1_kb;
+            l2 = pick w.Space.l2_mb;
+            memory_bw = pick w.Space.memory_bw_tb_s;
+            device_bw = pick w.Space.device_bw_gb_s;
+            clock_mhz = pick w.Space.clock_mhz;
+          }
+        in
+        Space.mix (Space.params_hash p))
+  in
+  let spread = distinct_low ~bits:12 hashes in
+  if spread < 2_400 then
+    Alcotest.failf "4096 widened points: only %d distinct low-12-bit hashes"
+      spread
+
 let t_cache_shares_context () =
   Eval.clear ();
   let base = Option.get (Scenario.find "a100-proxy") in
@@ -293,6 +375,8 @@ let suite =
     prop_scenario_round_trip;
     prop_scenario_equal_hash;
     test "cache-key float semantics" t_key_float_semantics;
+    test "memo key hash spreads over the low bits" t_memo_hash_spread;
+    test "adaptive table hash spreads over the low bits" t_widened_hash_spread;
     test "cache shared across renamed contexts" t_cache_shares_context;
     test "registry scenario == legacy sweep" t_registry_matches_legacy;
     test "design csv row shape" t_csv_row_shape;
