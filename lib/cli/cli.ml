@@ -64,6 +64,21 @@ let device_args =
   let membw = Arg.(value & opt pos_float 2. & info [ "membw" ] ~doc:"HBM bandwidth, TB/s.") in
   let memgb = Arg.(value & opt pos_float 80. & info [ "memgb" ] ~doc:"HBM capacity, GB.") in
   let devbw = Arg.(value & opt pos_float 600. & info [ "devbw" ] ~doc:"Device interconnect, GB/s.") in
+  (* A finite flag can still overflow once scaled to SI units
+     ([--membw 1e308] is an infinite bandwidth in B/s), so the built
+     device's derived quantities are checked too, before anything is
+     printed. *)
+  let overflowed (d : Device.t) =
+    List.find_map
+      (fun (flag, v) -> if Float.is_finite v then None else Some flag)
+      [
+        ("--l1", d.Device.l1_bytes);
+        ("--l2", d.Device.l2_bytes);
+        ("--memgb", d.Device.memory.Memory.capacity_bytes);
+        ("--membw", d.Device.memory.Memory.bandwidth_bytes_per_s);
+        ("--devbw", Interconnect.total_bandwidth d.Device.interconnect);
+      ]
+  in
   let build like cores lanes dim l1 l2 membw memgb devbw =
     match like with
     | Some gpu -> `Ok (Gpu.to_template gpu)
@@ -75,7 +90,14 @@ let device_args =
             ~interconnect:(Interconnect.of_total_gb_s devbw)
             ()
         with
-        | device -> `Ok device
+        | device -> (
+            match overflowed device with
+            | None -> `Ok device
+            | Some flag ->
+                `Error
+                  ( false,
+                    Printf.sprintf "%s is too large: the quantity it sets \
+                                    overflows" flag ))
         | exception Invalid_argument msg -> `Error (false, msg))
   in
   Term.(ret (const build $ like $ cores $ lanes $ dim $ l1 $ l2 $ membw $ memgb $ devbw))
@@ -144,26 +166,36 @@ let simulate_cmd =
   let output = Arg.(value & opt int 1024 & info [ "output" ] ~doc:"Output sequence length.") in
   let report = Arg.(value & flag & info [ "report" ] ~doc:"Print per-operator bottleneck reports.") in
   let exec device model tp batch input output report =
+    (* Everything that can reject the device (the cost model raises on a
+       die that does not fit the wafer) is computed before the first line
+       is printed, so a rejected device prints nothing. *)
     let request = Request.make ~batch ~input_len:input ~output_len:output in
     let r = Engine.simulate ~tp ~request device model in
-    if report then
-      List.iter
-        (fun phase ->
-          Format.printf "%a@."
-            Report.pp_phase_report
-            (Report.phase_report ~tp ~request device model phase))
-        [ Layer.Prefill; Layer.Decode ];
+    let phase_reports =
+      if report then
+        List.map
+          (Report.phase_report ~tp ~request device model)
+          [ Layer.Prefill; Layer.Decode ]
+      else []
+    in
+    let area = Area_model.total_mm2 device in
+    let die_cost =
+      Cost_model.die_cost_usd ~process:Cost_model.n7 ~die_area_mm2:area
+    in
+    let good_die_cost =
+      Cost_model.good_die_cost_usd ~process:Cost_model.n7 ~die_area_mm2:area ()
+    in
+    let spec = Spec.of_device ~area_mm2:area device in
+    List.iter (Format.printf "%a@." Report.pp_phase_report) phase_reports;
     Format.printf "%a@." Device.pp device;
     Format.printf "%a@." Engine.pp_result r;
     Format.printf "whole model: TTFT %a, TBT %a, e2e %a, %.0f tokens/s@."
       Units.pp_time (Engine.model_ttft_s r) Units.pp_time (Engine.model_tbt_s r)
       Units.pp_time (Engine.end_to_end_s r)
       (Engine.throughput_tokens_per_s r);
-    let area = Area_model.total_mm2 device in
     Format.printf "area %.0f mm^2, die cost $%.0f, good-die cost $%.0f@." area
-      (Cost_model.die_cost_usd ~process:Cost_model.n7 ~die_area_mm2:area)
-      (Cost_model.good_die_cost_usd ~process:Cost_model.n7 ~die_area_mm2:area ());
-    classify_spec (Spec.of_device ~area_mm2:area device)
+      die_cost good_die_cost;
+    classify_spec spec
   in
   let run device model tp batch input output report =
     match exec device model tp batch input output report with

@@ -24,6 +24,7 @@
    the budget covers the whole sweep, every strategy degenerates to the
    exhaustive oracle. *)
 
+module Area_model = Acs_area.Area_model
 module Engine = Acs_perfmodel.Engine
 module Compiled = Acs_workload.Compiled
 module Device = Acs_hardware.Device
@@ -109,14 +110,54 @@ let compile_of (s : Scenario.t) =
   Engine.compile ?tp:s.Scenario.tp ?request:s.Scenario.request
     s.Scenario.model
 
+let build (s : Scenario.t) p =
+  Space.build ?memory_gb:s.Scenario.memory_gb ~tpp_target:s.Scenario.tpp_target
+    p
+
 let bounds (s : Scenario.t) p =
   let c = compile_of s in
-  let device =
-    Space.build ?memory_gb:s.Scenario.memory_gb
-      ~tpp_target:s.Scenario.tpp_target p
-  in
+  let device = build s p in
   ( phase_bound (totals_of_phase c.Compiled.prefill) device,
     phase_bound (totals_of_phase c.Compiled.decode) device )
+
+(* --- bound probes ---
+
+   A probe builds a candidate's device and die area, never a design: no
+   latencies, good-die cost, SRAM total or stored spec. From those two it
+   reads the default feasibility verdict and, for a survivor, the die cost
+   and the objective's lower bound; only those floats outlive it. *)
+
+(* The default feasibility test, one definition for evaluated designs and
+   probes alike: compliant under the scenario's regime and within the
+   reticle, judged from the device and its die area. *)
+let default_feasible (s : Scenario.t) ~area_mm2 device =
+  Design.compliant_device s.Scenario.regime ~area_mm2 device
+  && Design.fits_reticle area_mm2
+
+let objective_bound objective ~pre ~dec device ~die_cost_usd =
+  match objective with
+  | Optimum.Ttft -> phase_bound pre device
+  | Optimum.Tbt -> phase_bound dec device
+  | Optimum.Ttft_cost -> Units.to_ms (phase_bound pre device) *. die_cost_usd
+  | Optimum.Tbt_cost -> Units.to_ms (phase_bound dec device) *. die_cost_usd
+
+(* The bound rung's probe of [p]: [None] when [prescreen] is set and [p]
+   fails the default feasibility test, else [p]'s die cost and the
+   objective's lower bound. *)
+let bound_probe (s : Scenario.t) ~objective ~pre ~dec ~prescreen p =
+  let device = build s p in
+  let area_mm2 = Area_model.total_mm2 device in
+  if prescreen && not (default_feasible s ~area_mm2 device) then None
+  else
+    let die_cost_usd = Design.die_cost_of_area area_mm2 in
+    Some (die_cost_usd, objective_bound objective ~pre ~dec device ~die_cost_usd)
+
+let probe ?(objective = Optimum.Tbt) ~prescreen (s : Scenario.t) p =
+  let c = compile_of s in
+  bound_probe s ~objective
+    ~pre:(totals_of_phase c.Compiled.prefill)
+    ~dec:(totals_of_phase c.Compiled.decode)
+    ~prescreen p
 
 (* --- per-run search context --- *)
 
@@ -156,28 +197,12 @@ let consider ctx d =
     | Some b when obj_value ctx b <= obj_value ctx d -> ()
     | _ -> ctx.best <- Some d
 
-(* A probe: the design's device, area, spec, classification and cost -
-   everything except the simulated latencies, which stay nan and must
-   never be read. Cheap relative to a simulation; charged to [bounded],
-   not the evaluation budget. *)
-let probe ctx p =
+(* Descent's and zoom's prescreen probe, which reads only the verdict.
+   Every probe is charged to [bounded], not to the evaluation budget. *)
+let probe_feasible ctx p =
   ctx.bounded <- ctx.bounded + 1;
-  let device =
-    Space.build ?memory_gb:ctx.scenario.Scenario.memory_gb
-      ~tpp_target:ctx.scenario.Scenario.tpp_target p
-  in
-  Design.of_latencies p device ~ttft_s:Float.nan ~tbt_s:Float.nan
-
-let objective_bound ctx (pr : Design.t) =
-  match ctx.objective with
-  | Optimum.Ttft -> phase_bound ctx.pre pr.Design.device
-  | Optimum.Tbt -> phase_bound ctx.dec pr.Design.device
-  | Optimum.Ttft_cost ->
-      Units.to_ms (phase_bound ctx.pre pr.Design.device)
-      *. pr.Design.die_cost_usd
-  | Optimum.Tbt_cost ->
-      Units.to_ms (phase_bound ctx.dec pr.Design.device)
-      *. pr.Design.die_cost_usd
+  let device = build ctx.scenario p in
+  default_feasible ctx.scenario ~area_mm2:(Area_model.total_mm2 device) device
 
 (* The only path that spends evaluation budget. Deduplicates against
    everything already evaluated this run, truncates to the remaining
@@ -359,14 +384,21 @@ let axis_samples lo hi k =
 let box_samples box counts =
   Array.init n_axes (fun k -> axis_samples box.lo.(k) box.hi.(k) counts.(k))
 
-let cartesian (samples : int list array) =
-  let rec cart k =
-    if k = n_axes then [ [] ]
-    else
-      let rest = cart (k + 1) in
-      List.concat_map (fun i -> List.map (fun tl -> i :: tl) rest) samples.(k)
-  in
-  List.map Array.of_list (cart 0)
+(* Every point of the sample grid, axis 0 slowest and axis 6 fastest: the
+   i-th point decodes i in mixed radix over the per-axis sample counts.
+   [params_at] copies the indexes out, so one index array serves all. *)
+let grid a (samples : int list array) =
+  let s = Array.map Array.of_list samples in
+  let total = Array.fold_left (fun n x -> n * Array.length x) 1 s in
+  let ix = Array.make n_axes 0 in
+  List.init total (fun i ->
+      let r = ref i in
+      for k = n_axes - 1 downto 0 do
+        let n = Array.length s.(k) in
+        ix.(k) <- s.(k).(!r mod n);
+        r := !r / n
+      done;
+      params_at a ix)
 
 (* --- strategies --- *)
 
@@ -384,32 +416,37 @@ let exhaustive ctx sweep =
 
 (* Shared first rung of halving/pareto: a coarse candidate grid probed at
    bound fidelity - cheap-infeasible candidates pruned (when the default
-   feasibility test is in force), survivors sorted by their objective
-   lower bound, ties kept in grid order. *)
+   feasibility test is in force), survivors kept as (point, die cost,
+   objective lower bound) and sorted by the bound, ties kept in grid
+   order. *)
 let bound_rung ctx axes sweep ~prescreen =
   let lens = axis_lengths axes in
   let target = min (Space.size sweep) (min 4096 (max 64 (ctx.budget * 4))) in
   let counts = allocate ~target ~offset:0 lens in
-  let cands =
-    List.map (params_at axes) (cartesian (box_samples (full_box lens) counts))
+  let cands = grid axes (box_samples (full_box lens) counts) in
+  let scored =
+    List.filter_map
+      (fun p ->
+        ctx.bounded <- ctx.bounded + 1;
+        match
+          bound_probe ctx.scenario ~objective:ctx.objective ~pre:ctx.pre
+            ~dec:ctx.dec ~prescreen p
+        with
+        | None -> None
+        | Some (die_cost_usd, lb) -> Some (p, die_cost_usd, lb))
+      cands
   in
-  let probes = List.map (fun p -> (p, probe ctx p)) cands in
-  let alive, dead =
-    match prescreen with
-    | None -> (probes, [])
-    | Some f -> List.partition (fun (_, pr) -> f pr) probes
-  in
-  let scored = List.map (fun (p, pr) -> (p, pr, objective_bound ctx pr)) alive in
   let sorted =
     List.stable_sort (fun (_, _, a) (_, _, b) -> Float.compare a b) scored
   in
+  let candidates = List.length cands and promoted = List.length sorted in
   push_rung ctx
     {
       fidelity = "bound";
-      candidates = List.length cands;
+      candidates;
       evaluated = 0;
-      promoted = List.length sorted;
-      pruned = List.length dead;
+      promoted;
+      pruned = candidates - promoted;
     };
   sorted
 
@@ -448,27 +485,27 @@ let halving ctx axes sweep ~prescreen =
 
 let pareto ctx axes sweep ~prescreen =
   let queue = ref (bound_rung ctx axes sweep ~prescreen) in
-  let w = ref 0 in
+  let w = ref 0 and last_wave = ref [] in
   while !queue <> [] && remaining ctx > 0 do
     (* Frontier prune: candidate [p] is discarded when some already
        evaluated feasible design is at or below [p]'s objective lower
        bound AND at or below its exact die cost - [p] can then neither
        beat that design on the objective nor extend the (objective, cost)
-       frontier. *)
-    let front =
-      Pareto.frontier ~fx:(obj_value ctx)
-        ~fy:(fun d -> d.Design.die_cost_usd)
-        (List.filter ctx.feasible ctx.log)
-    in
-    let dominated (_, pr, lb) =
-      List.exists
+       frontier. A queued candidate has survived this test against every
+       design evaluated before the last wave, so only the last wave's
+       designs, as (objective, cost) pairs, need checking. *)
+    let recent =
+      List.filter_map
         (fun d ->
-          obj_value ctx d <= lb
-          && d.Design.die_cost_usd <= pr.Design.die_cost_usd)
-        front
+          if ctx.feasible d then Some (obj_value ctx d, d.Design.die_cost_usd)
+          else None)
+        !last_wave
+    in
+    let dominated (_, die_cost_usd, lb) =
+      List.exists (fun (o, c) -> o <= lb && c <= die_cost_usd) recent
     in
     let kept, pruned =
-      if front = [] then (!queue, 0)
+      if recent = [] then (!queue, 0)
       else
         let kept = List.filter (fun c -> not (dominated c)) !queue in
         (kept, List.length !queue - List.length kept)
@@ -477,7 +514,7 @@ let pareto ctx axes sweep ~prescreen =
     let now = List.filteri (fun i _ -> i < wave) kept in
     let later = List.filteri (fun i _ -> i >= wave) kept in
     let before = ctx.evaluated in
-    ignore (require ctx (List.map (fun (p, _, _) -> p) now));
+    last_wave := require ctx (List.map (fun (p, _, _) -> p) now);
     push_rung ctx
       {
         fidelity = Printf.sprintf "pareto%d" !w;
@@ -521,27 +558,28 @@ let descent ctx axes sweep ~prescreen ~seed =
             let score d =
               ((if ctx.feasible d then 0 else 1), obj_value ctx d)
             in
-            let current = ref d0 in
+            let current = ref d0 and current_score = ref (score d0) in
             let improved = ref true in
             while !improved && remaining ctx > 0 do
               improved := false;
               for k = 0 to n_axes - 1 do
                 let line = axis_line axes k !current.Design.params in
                 let line =
-                  match prescreen with
-                  | None -> line
-                  | Some f ->
-                      List.filter
-                        (fun p ->
-                          Space.params_equal p !current.Design.params
-                          || f (probe ctx p))
-                        line
+                  if not prescreen then line
+                  else
+                    List.filter
+                      (fun p ->
+                        Space.params_equal p !current.Design.params
+                        || probe_feasible ctx p)
+                      line
                 in
                 let ds = require ctx line in
                 List.iter
                   (fun d ->
-                    if score d < score !current then begin
+                    let s = score d in
+                    if s < !current_score then begin
                       current := d;
+                      current_score := s;
                       improved := true;
                       incr moves
                     end)
@@ -572,11 +610,9 @@ let zoom ctx axes ~prescreen =
     let counts = allocate ~target ~offset:(!level mod n_axes) blens in
     (* [allocate] works on box-relative lengths; samples are absolute. *)
     let samples = box_samples !box counts in
-    let cands = List.map (params_at axes) (cartesian samples) in
-    let kept, dropped =
-      match prescreen with
-      | None -> (cands, [])
-      | Some f -> List.partition (fun p -> f (probe ctx p)) cands
+    let cands = grid axes samples in
+    let kept =
+      if prescreen then List.filter (probe_feasible ctx) cands else cands
     in
     let before = ctx.evaluated in
     ignore (require ctx kept);
@@ -587,7 +623,7 @@ let zoom ctx axes ~prescreen =
         candidates = List.length cands;
         evaluated = news;
         promoted = (if Option.is_some ctx.best then 1 else 0);
-        pruned = List.length dropped;
+        pruned = List.length cands - List.length kept;
       };
     (match ctx.best with
     | None -> if news = 0 then stop := true
@@ -621,16 +657,16 @@ let search ?(budget = 1024) ?(seed = 42) ?(objective = Optimum.Tbt) ?feasible
           "Adaptive.search: scenario targets a single point; search needs a \
            design space"
   in
-  let default_feasibility = feasible = None in
+  (* The prescreen applies the default test to probes; a custom
+     feasibility function may read the latencies, so only the default
+     (device-only) test is safe to run at bound fidelity. *)
+  let prescreen = feasible = None in
   let feasible =
     match feasible with
     | Some f -> f
-    | None -> fun d -> Scenario.compliant s d && Design.manufacturable d
+    | None ->
+        fun d -> default_feasible s ~area_mm2:d.Design.area_mm2 d.Design.device
   in
-  (* The prescreen applies the same test to un-simulated probes; a custom
-     feasibility function may read the latencies, so only the default
-     (spec-only) test is safe to run at bound fidelity. *)
-  let prescreen = if default_feasibility then Some feasible else None in
   let disk = Option.map (fun dir -> Disk_cache.open_dir ~dir s) cache_dir in
   let compiled = compile_of s in
   let ctx =

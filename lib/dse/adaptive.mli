@@ -95,7 +95,7 @@ val search :
     [objective] {!Optimum.Tbt}, [feasible] the scenario's compliance test
     plus {!Design.manufacturable}. A custom [feasible] may read the
     simulated latencies; it is then only applied at engine fidelity
-    (the spec-level prescreen is skipped, since probes carry nan
+    (the bound-fidelity prescreen is skipped, since a probe has no
     latencies). [refine], when given, re-ranks the top evaluated designs
     as a final fidelity level and [best] becomes its winner.
 
@@ -107,3 +107,20 @@ val bounds : Scenario.t -> Space.params -> float * float
     device. Sound: each is [<=] the corresponding simulated latency
     (asserted by the property suite). Exposed for tests; [search]
     amortizes the compile internally. *)
+
+val probe :
+  ?objective:Optimum.objective ->
+  prescreen:bool ->
+  Scenario.t ->
+  Space.params ->
+  (float * float) option
+(** The bound rung's probe of this point, from its built device and die
+    area alone (no design is built): [None] when [prescreen] is set and
+    the point fails the default feasibility test (the scenario's
+    compliance plus the reticle), else [Some (die_cost_usd, bound)]: the
+    design's die cost and the [objective]'s (default {!Optimum.Tbt})
+    roofline lower bound, costed with that die cost for the cost-product
+    objectives. [search] keeps only these floats per candidate, and sets
+    [prescreen] unless it was given a custom [feasible]. Exposed for
+    tests; the property suite checks it against the design
+    {!Design.of_latencies} builds for the point, bit for bit. *)

@@ -14,28 +14,35 @@ type t = {
   tbt_s : float;
 }
 
+let process = Cost_model.n7
+
+(* Designs far beyond the reticle limit may not even fit a wafer; give
+   them infinite cost instead of failing (they are filtered out as
+   non-manufacturable anyway). *)
+let die_cost_of_area area_mm2 =
+  match Cost_model.die_cost_usd ~process ~die_area_mm2:area_mm2 with
+  | cost -> cost
+  | exception Invalid_argument _ -> infinity
+
+let fits_reticle area_mm2 = area_mm2 <= Acs_hardware.Presets.reticle_limit_mm2
+
 (* Everything except the latencies is derived deterministically from the
    device, so a design can be reconstituted from (params, device, ttft,
    tbt) alone - the on-disk eval cache stores exactly that and rebuilds a
    bitwise-equal value here. *)
 let of_latencies params device ~ttft_s ~tbt_s =
   let area_mm2 = Area_model.total_mm2 device in
-  let process = Cost_model.n7 in
-  (* Designs far beyond the reticle limit may not even fit a wafer; give
-     them infinite cost instead of failing (they are filtered out as
-     non-manufacturable anyway). *)
-  let die_cost_usd, good_die_cost_usd =
-    match Cost_model.die_cost_usd ~process ~die_area_mm2:area_mm2 with
-    | cost ->
-        (cost, Cost_model.good_die_cost_usd ~process ~die_area_mm2:area_mm2 ())
-    | exception Invalid_argument _ -> (infinity, infinity)
+  let die_cost_usd = die_cost_of_area area_mm2 in
+  let good_die_cost_usd =
+    if die_cost_usd = infinity then infinity
+    else Cost_model.good_die_cost_usd ~process ~die_area_mm2:area_mm2 ()
   in
   {
     params;
     device;
     area_mm2;
     sram_mb = Area_model.sram_mb device;
-    within_reticle = area_mm2 <= Acs_hardware.Presets.reticle_limit_mm2;
+    within_reticle = fits_reticle area_mm2;
     spec = Acs_policy.Spec.of_device ~area_mm2 device;
     die_cost_usd;
     good_die_cost_usd;
@@ -68,8 +75,13 @@ let subject d = Acs_policy.Regime.of_device ~area_mm2:d.area_mm2 d.device
 let verdict ?market regime d =
   Acs_policy.Regime.verdict ?market regime (subject d)
 
+let compliant_device ?market regime ~area_mm2 device =
+  not
+    (Acs_policy.Regime.regulated ?market regime
+       (Acs_policy.Regime.of_device ~area_mm2 device))
+
 let compliant ?market regime d =
-  not (Acs_policy.Regime.regulated ?market regime (subject d))
+  compliant_device ?market regime ~area_mm2:d.area_mm2 d.device
 
 let compliant_2023 = compliant Acs_policy.Regime.acr_2023
 

@@ -16,6 +16,14 @@ type t = {
   tbt_s : float;
 }
 
+val die_cost_of_area : float -> float
+(** Die cost in USD of a die of this area on N7 wafers; [infinity] when
+    the die does not fit a wafer. A design's [die_cost_usd]. *)
+
+val fits_reticle : float -> bool
+(** Whether a die of this area (mm^2) is within the 860 mm^2 reticle
+    limit. A design's [within_reticle]. *)
+
 val of_latencies :
   Space.params -> Acs_hardware.Device.t -> ttft_s:float -> tbt_s:float -> t
 (** Reconstitute a design from its parameters, built device and simulated
@@ -73,6 +81,16 @@ val verdict :
 val compliant : ?market:Acs_policy.Regime.market -> Acs_policy.Regime.t -> t -> bool
 (** Fully unregulated under the regime (the paper excludes NAC-eligible
     designs, since NAC licenses may be denied). *)
+
+val compliant_device :
+  ?market:Acs_policy.Regime.market ->
+  Acs_policy.Regime.t ->
+  area_mm2:float ->
+  Acs_hardware.Device.t ->
+  bool
+(** {!compliant} judged from a device and its die area, before any design
+    exists: [compliant r d = compliant_device r ~area_mm2:d.area_mm2
+    d.device]. *)
 
 val compliant_2023 : t -> bool
 (** [compliant Regime.acr_2023]: the paper's validity filter for

@@ -191,7 +191,17 @@ let sweep_hash (s : sweep) =
   <+> list_hash float_hash s.device_bw_gb_s
   <+> list_hash float_hash s.clock_mhz
 
+(* [Printf.sprintf "dse-%.0f" tpp_target], byte for byte. A positive
+   integral target below 1e15 (every registry target) prints the same
+   digits through [string_of_int], without the format interpreter that
+   otherwise takes most of a build. *)
+let device_name tpp_target =
+  if Float.is_integer tpp_target && 0. < tpp_target && tpp_target < 1e15 then
+    "dse-" ^ string_of_int (int_of_float tpp_target)
+  else Printf.sprintf "dse-%.0f" tpp_target
+
 let build ?(memory_gb = 80.) ~tpp_target p =
+  let name = device_name tpp_target in
   let systolic = Systolic.square p.systolic_dim in
   let cores =
     Device.cores_for_tpp ~tpp:tpp_target ~lanes_per_core:p.lanes ~systolic
@@ -200,7 +210,7 @@ let build ?(memory_gb = 80.) ~tpp_target p =
   (* [cores_for_tpp] keeps TPP <= target; the rules use ">= threshold", so
      back off one core when the bound is hit exactly. *)
   let probe c =
-    Device.make ~name:(Printf.sprintf "dse-%.0f" tpp_target) ~core_count:c
+    Device.make ~name ~core_count:c
       ~lanes_per_core:p.lanes ~systolic ~l1_kb:p.l1 ~l2_mb:p.l2
       ~frequency_mhz:p.clock_mhz
       ~memory:(Acs_hardware.Memory.make ~capacity_gb:memory_gb ~bandwidth_tb_s:p.memory_bw)

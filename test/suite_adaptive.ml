@@ -172,6 +172,50 @@ let prop_bound_sound =
           && ttft_lb > 0. && tbt_lb > 0.
       | _ -> false)
 
+(* --- a bound probe reads what the design would carry, bit for bit --- *)
+
+let widened = Option.get (Scenario.find "search-widened")
+
+let objectives =
+  [ Optimum.Ttft; Optimum.Tbt; Optimum.Ttft_cost; Optimum.Tbt_cost ]
+
+let prop_probe_matches_design =
+  qcheck ~count:300 "bound probe = the design's feasibility, cost and bound"
+    (QCheck.make
+       ~print:(fun (p, _, (s : Scenario.t)) ->
+         s.Scenario.name ^ " "
+         ^ Acs_util.Json.to_string (Space.params_to_json p))
+       QCheck.Gen.(
+         triple widened_point_gen (oneofl objectives)
+           (oneofl [ widened; fig6_gpt3 ])))
+    (fun (p, objective, s) ->
+      let d =
+        Design.of_latencies p
+          (Space.build ?memory_gb:s.Scenario.memory_gb
+             ~tpp_target:s.Scenario.tpp_target p)
+          ~ttft_s:Float.nan ~tbt_s:Float.nan
+      in
+      (* [bounds] builds the same device from the same point. *)
+      let ttft_lb, tbt_lb = Adaptive.bounds s p in
+      let expected =
+        match objective with
+        | Optimum.Ttft -> ttft_lb
+        | Optimum.Tbt -> tbt_lb
+        | Optimum.Ttft_cost -> Units.to_ms ttft_lb *. d.Design.die_cost_usd
+        | Optimum.Tbt_cost -> Units.to_ms tbt_lb *. d.Design.die_cost_usd
+      in
+      let bits = Int64.bits_of_float in
+      let same (die_cost, bound) =
+        Int64.equal (bits die_cost) (bits d.Design.die_cost_usd)
+        && Int64.equal (bits bound) (bits expected)
+      in
+      (match Adaptive.probe ~objective ~prescreen:true s p with
+      | None -> not (feasible s d)
+      | Some r -> feasible s d && same r)
+      && match Adaptive.probe ~objective ~prescreen:false s p with
+         | None -> false
+         | Some r -> same r)
+
 (* --- provenance: cold vs warm-memory runs, identical outcomes --- *)
 
 let t_provenance () =
@@ -507,4 +551,5 @@ let suite =
     test "disk cache: a colliding record is a miss" t_disk_foreign_record;
     test "disk cache: a failed store leaves no temp file" t_disk_failed_store;
     prop_disk_exact;
+    prop_probe_matches_design;
   ]

@@ -47,6 +47,13 @@ let t_errors () =
       [ "serve"; "--cores"; "0" ];
       (* a die too large for the wafer, caught by the cost model *)
       [ "simulate"; "--l2"; "100000" ];
+      (* finite flags whose derived SI quantity overflows to infinity *)
+      [ "simulate"; "--membw"; "1e308" ];
+      [ "simulate"; "--memgb"; "1e308" ];
+      [ "fps"; "--l2"; "1e308" ];
+      [ "plan"; "--membw"; "1e308" ];
+      [ "simulate"; "--l1"; "1e308" ];
+      [ "serve"; "--membw"; "1e308" ];
     ]
 
 let t_scenarios_errors () =

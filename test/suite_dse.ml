@@ -115,6 +115,32 @@ let prop_pareto_covers =
           List.exists (fun q -> fst q <= fst p && snd q <= snd p) front)
         pts)
 
+(* --- Space.build's device name --- *)
+
+(* [Space.build] formats an integral target without [Printf]; the name
+   must stay the one [Printf] gives, for every (positive) target. *)
+let prop_device_name =
+  let target =
+    QCheck.Gen.(
+      oneof
+        [
+          map float_of_int (int_range 1 1_000_000);
+          float_range 0.001 10_000.;
+          float_range 1e15 1e16;
+          map Float.round (float_range 1e15 1e16);
+          oneofl [ 0.5; 1.5; 2.5; 2399.5; 1e15 -. 1.; 1e15; 4503599627370496. ];
+        ])
+  in
+  let p =
+    { Space.systolic_dim = 16; lanes = 4; l1 = 192.; l2 = 40.; memory_bw = 2.;
+      device_bw = 600.; clock_mhz = Space.default_clock_mhz }
+  in
+  qcheck "device name is Printf's dse-%.0f"
+    (QCheck.make ~print:(Printf.sprintf "%h") target)
+    (fun tpp_target ->
+      (Space.build ~tpp_target p).Device.name
+      = Printf.sprintf "dse-%.0f" tpp_target)
+
 (* --- Optimum --- *)
 
 let t_optimum () =
@@ -140,4 +166,5 @@ let suite =
     prop_pareto_subset_and_undominated;
     prop_pareto_covers;
     test "optimum selection" t_optimum;
+    prop_device_name;
   ]
